@@ -28,16 +28,19 @@ test:
 # buffer and adaptive controller are exercised from many goroutines; keep
 # the data-race detector on their packages in the gate. internal/op is
 # included for the batch/scalar equivalence harness, which exercises the
-# vectorized operator paths end to end.
+# vectorized operator paths end to end. The root package, the daemon and
+# the soak harness prove the public Engine methods safe against each
+# other (TestActuatorsConcurrentWithMetrics hammers every actuator).
 race:
-	$(GO) test -race ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./adapt
+	$(GO) test -race ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./adapt . ./cmd/hmtsd ./internal/soak
 
 # The bounded-queue deadlock regression gate: cooperative blocking must
 # survive a single OS thread, where a parked producer that fails to yield
 # its run permit freezes the whole process rather than just one pipeline.
+# ParkedSource replays splices against sources parked on full queues.
 bounded:
 	GOMAXPROCS=1 $(GO) test -timeout 120s \
-		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Hook|Reconfigure' \
+		-run 'Bounded|BlockedProducer|PermitHolding|LeaksNoGoroutines|Hook|Reconfigure|ParkedSource' \
 		./internal/queue ./internal/sched .
 
 # The capacity-model validation is a timing experiment; run it a few times so

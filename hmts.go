@@ -88,9 +88,11 @@ type Engine struct {
 	d       *sched.Deployment
 	cfg     RunConfig
 	running bool
-	// mu serializes structural mutations of a live graph (Reshard,
-	// AddQuery, DropQuery) against snapshot readers (Metrics), which walk
-	// the node table.
+	// mu is the one actuator lock: every live mutation (SwitchMode,
+	// Rebalance, Reshard, AddQuery, DropQuery) holds it for writing, so
+	// mutations are serialized against each other and against snapshot
+	// readers (Metrics, Queries), which walk the node table and read the
+	// mode.
 	mu sync.RWMutex
 
 	// Multi-query registration state (see query.go). queries maps a
@@ -144,6 +146,8 @@ func (e *Engine) plan(mode Mode) (sched.Plan, sched.Options) {
 // Run validates the graph, deploys it under the configured mode and starts
 // processing. It returns an error if the graph is structurally invalid.
 func (e *Engine) Run(cfg RunConfig) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.running {
 		return fmt.Errorf("hmts: engine already running")
 	}
@@ -195,6 +199,8 @@ func (e *Engine) Err() error {
 // existing queues (the paper's instant switch); any other transition also
 // re-places queues, draining those that are removed.
 func (e *Engine) SwitchMode(mode Mode, strategy string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.d == nil {
 		return fmt.Errorf("hmts: engine not running")
 	}
@@ -213,6 +219,8 @@ func (e *Engine) SwitchMode(mode Mode, strategy string) error {
 // the paper lists as future work. Queues are inserted or removed (after
 // draining) as the stall-avoiding heuristic dictates.
 func (e *Engine) Rebalance() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.d == nil {
 		return fmt.Errorf("hmts: engine not running")
 	}
@@ -230,12 +238,12 @@ func (e *Engine) Rebalance() error {
 // resize. Resizing is refused once the region's input streams have started
 // closing.
 func (e *Engine) Reshard(name string, n int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	gr := e.g.ShardGroup(name)
 	if gr == nil {
 		return fmt.Errorf("hmts: no shard region %q", name)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.d == nil {
 		_, err := e.g.ResizeShard(gr, n)
 		return err
@@ -250,8 +258,12 @@ func (e *Engine) Reshard(name string, n int) error {
 // configured policy. Unlike SwitchMode/Rebalance it never pauses the
 // world — it only flips per-source policy flags — so the adaptive
 // controller can engage it cheaply (adapt.ShedOnOverload). Sources other
-// than external ones are unaffected. Safe before and during a run.
+// than external ones are unaffected. Safe before and during a run; it
+// reads the node table, so it shares the actuator lock with snapshot
+// readers.
 func (e *Engine) Shed(on bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	for _, n := range e.g.Sources() {
 		if sh, ok := n.Src.(interface{ Shed(bool) }); ok {
 			sh.Shed(on)

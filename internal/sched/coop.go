@@ -6,12 +6,22 @@
 // run permit and the deployment's world read lock while parked. With the
 // permit held, the consumer partition that would free the space starves
 // in TS.Acquire (fatal at MaxConcurrent=1, the GOMAXPROCS=1 repro); with
-// the read lock held, Reconfigure's world write lock can never be taken.
+// the read lock held, a splice's world write lock can never be taken.
 //
 // The fix is a per-queue queue.WaitHook wired at deploy time to the
 // queue's producing side. Before a producer parks on q.space the hook
-// releases exactly what the rest of the engine needs to make progress,
-// and reacquires it after the park.
+// releases what the rest of the engine needs to make progress, names
+// the signal that aborts the park, and reacquires after the park.
+//
+//   - An executor releases its TS permit and world read lock; its stop
+//     channel aborts the park.
+//   - A source goroutine (direct or fused) releases nothing: it parks
+//     holding its world read lock, so a splice can never run inside its
+//     fan-out (where it would rewrite an operator's subscription list
+//     under a running loop). The deployment's quiesce channel aborts the
+//     park.
+//   - The splice goroutine never parks; everything else is halted or
+//     quiesced, so nothing could wake it.
 //
 // # Lock ordering
 //
@@ -25,26 +35,21 @@
 // releases the permit first and reacquires it afterwards. Reacquisition
 // respects the same order: the world read lock is retaken first, then the
 // permit (honoring stop, so a halting deployment can always collect its
-// executors), and only then the queue mutex. Reconfigure takes the world
-// write lock only after halting every executor, so a reader waiting for a
-// permit can always be unwound through its stop channel first; that is
-// what makes the mixed wait-for graph acyclic.
+// executors), and only then the queue mutex.
 //
-// Waiting while holding a VO gate is permitted (the gate serializes entry
-// into one partition and nothing the consumer side needs is behind it) —
-// which is why executors must not block *on* a gate while holding a
-// permit either: the holder may be parked on backpressure for a while.
-// For the same reason no thread may block on a gate while holding the
-// world read lock: the holder's park is wakeable only by a consumer or by
-// poison, and a pending Reconfigure — which has already halted every
-// consumer — would wedge behind the waiter's read lock forever. Executors
-// satisfy this structurally: their gate waits select on stop, and
-// Reconfigure halts them before taking the write lock. Source goroutines
-// have no stop channel, so they yield the read lock around a contended
-// gate (srcAdapter.lockTarget) and retake it afterwards — the one place
-// the order inverts (gate, then read lock), safe because the only world
-// writer never acquires gates; a rewire detected across the wait
-// (Deployment.wireGen) drops the stale gate and re-resolves the target.
+// The world writer is the splice transaction (Deployment.Splice), and it
+// first unwinds every reader that could be waiting: it halts the
+// executors (stop aborts their parks and gate waits), then closes the
+// quiesce channel (aborting every source park, whose push then completes
+// past the bound), and only then takes world.Lock, re-arming the channel
+// under it. That is what makes the mixed wait-for graph acyclic. Waiting
+// while holding a VO gate is permitted (the gate serializes entry into
+// one partition and nothing the consumer side needs is behind it), and a
+// source may block on a gate with its read lock held: the holder is an
+// executor or a source inside a delivery, both of which the splice aborts
+// before it needs the write lock, and the writer itself never takes
+// gates. Executors still select on stop around a gate wait and release
+// their permit for it, since the holder may be parked for a while.
 package sched
 
 import (
@@ -58,7 +63,7 @@ import (
 // goid returns the calling goroutine's id. It is used only on slow paths
 // (parking on a full queue) to discriminate which thread is pushing
 // through a partition: the partition's executor, a fused source, or the
-// Reconfigure splice. The textual parse is the only portable way to get
+// splice. The textual parse is the only portable way to get
 // the id; at ~1µs it is noise next to an actual park.
 func goid() int64 {
 	var buf [32]byte
@@ -89,10 +94,8 @@ type Gate struct {
 func NewGate() *Gate { return &Gate{ch: make(chan struct{}, 1)} }
 
 // Lock acquires the gate, blocking until it is free. Callers must not
-// hold the world read lock or a TS permit across the wait: source threads
-// reach this only through srcAdapter.lockTarget, which yields the read
-// lock first (the holder may be parked on backpressure, wakeable only by
-// a consumer that a pending Reconfigure has already halted).
+// hold a TS permit across the wait; source threads may hold the world
+// read lock (see the lock ordering above).
 func (g *Gate) Lock() { g.ch <- struct{}{} }
 
 // TryLock acquires the gate only if it is free.
@@ -127,8 +130,8 @@ func (g *Gate) Unlock() {
 
 // pushHook is the queue.WaitHook installed on every decoupling queue; one
 // instance per queue, bound to the queue's producing side. Yield releases
-// whatever the calling thread holds that the rest of the engine needs to
-// free space in the queue, Resume reacquires it in the documented order.
+// whatever the calling thread must not hold while parked and names the
+// park's abort signal; Resume reacquires it in the documented order.
 type pushHook struct {
 	d *Deployment
 	// x is the executor of the group that drains the producing partition,
@@ -140,9 +143,9 @@ type pushHook struct {
 func (h *pushHook) Yield(q *queue.Queue) (bool, <-chan struct{}) {
 	g := goid()
 	if h.d.spliceGid.Load() == g {
-		// The Reconfigure splice is draining a removed queue on the admin
-		// goroutine while every executor is halted; nobody can free space,
-		// so the push must overshoot rather than park.
+		// The splice is draining a queue while everything else is halted
+		// or quiesced; nobody can free space, so the push must overshoot
+		// rather than park.
 		return false, nil
 	}
 	if h.x != nil && h.x.gid.Load() == g {
@@ -150,18 +153,16 @@ func (h *pushHook) Yield(q *queue.Queue) (bool, <-chan struct{}) {
 	}
 	// A source goroutine (a direct source producer, or a source fused
 	// into the producing partition) is pushing: it holds one world read
-	// lock — via srcAdapter — and no TS permit. Yield the read lock so a
-	// Reconfigure can splice past the full queue; the park is woken by
-	// space, poison, or nothing else (sources are stopped via poison).
-	h.d.world.RUnlock()
-	return true, nil
+	// lock — via srcAdapter — and no TS permit. It parks keeping the read
+	// lock, so no splice can run inside its fan-out; a pending splice
+	// closes the quiesce channel first, and the push completes past the
+	// bound. The read lock makes the field read safe.
+	return true, h.d.quiesce
 }
 
 // Resume implements queue.WaitHook.
 func (h *pushHook) Resume(q *queue.Queue, aborted bool) {
 	if h.x != nil && h.x.gid.Load() == goid() {
 		h.x.resumeFor(q, aborted)
-		return
 	}
-	h.d.world.RLock()
 }

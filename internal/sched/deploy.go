@@ -24,19 +24,26 @@ type Deployment struct {
 	ts   *TS
 
 	// world serializes structural changes against data flow: sources and
-	// executors hold it for reading around every push/drain; Reconfigure
-	// holds it for writing.
+	// executors hold it for reading around every push/drain; Splice holds
+	// it for writing.
 	world sync.RWMutex
 
-	// admin serializes management operations (Stop, SwitchGroups,
-	// Reconfigure, accessor snapshots) against each other — a fail-stop
-	// triggered by an operator panic runs Stop concurrently with
-	// whatever the caller is doing.
+	// quiesce is the abort signal of a source parked on a full queue with
+	// its world read lock held. Splice closes it before taking the write
+	// lock — so each parked delivery completes past its bound and unlocks
+	// — and re-arms it under the lock; sources read it under their read
+	// lock.
+	quiesce chan struct{}
+
+	// admin serializes management operations (Stop, Splice, accessor
+	// snapshots) against each other — a fail-stop triggered by an
+	// operator panic runs Stop concurrently with whatever the caller is
+	// doing.
 	admin   sync.Mutex
 	execGen int
 
 	// single remembers whether the last analyze ran with SingleGroup (GTS)
-	// so a live re-shard can re-analyze without changing the threading
+	// so a splice can re-analyze without changing the threading
 	// discipline.
 	single bool
 
@@ -47,27 +54,20 @@ type Deployment struct {
 	queues   map[graph.EdgeKey]*queue.Queue
 	units    map[int][]*Unit // VO index -> entry units
 	groupOf  []int           // VO index -> executor group
-	nGroups  int
 	execs    []*Exec
 	execOf   map[int]*Exec       // executor group -> executor
 	adapters map[int]*srcAdapter // source node ID -> adapter
 
-	// spliceGid is the goroutine id of a Reconfigure splice in progress
-	// (0 otherwise); the wait hooks let that goroutine push past queue
-	// bounds instead of parking, since every executor is halted during
-	// the splice and nothing could free space.
+	// spliceGid is the goroutine id of a Splice in progress (0 otherwise);
+	// the wait hooks let that goroutine push past queue bounds instead of
+	// parking, since everything else is halted or quiesced during the
+	// splice and nothing could free space.
 	spliceGid atomic.Int64
 
-	// wireGen counts rewireTargets passes (written under world.Lock, read
-	// under world.RLock). A source that yielded its read lock around a
-	// contended gate wait compares it afterwards to detect that a splice
-	// rewired its targets while it waited (see srcAdapter.lockTarget).
-	wireGen uint64
-
-	// reshardOverheadNS / reshardPerRowNS model the stop-the-region pause
+	// reshardOverheadNS / reshardPerRowNS model the stop-the-world pause
 	// a live Reshard costs: a fixed splice overhead plus a per-retained-row
-	// state-handoff cost. Seeded with defaults and EWMA-updated from each
-	// measured Reshard (see pausemodel.go); read lock-free by
+	// state-handoff cost. Seeded with defaults and EWMA-updated from every
+	// measured Splice (see pausemodel.go); read lock-free by
 	// ReshardPauseEstimateNS so a planner can veto an expensive migration.
 	reshardOverheadNS atomic.Int64
 	reshardPerRowNS   atomic.Int64
@@ -80,96 +80,31 @@ type Deployment struct {
 	err   error
 }
 
-// srcTarget is one resolved output edge of a source. key names the graph
-// edge it resolves, so a delivery that raced a splice can find the same
-// edge's fresh placement (or learn the edge is gone) in the rebuilt list.
+// srcTarget is one resolved output edge of a source.
 type srcTarget struct {
 	sink op.Sink
 	port int
 	gate *Gate
-	key  graph.EdgeKey
 }
 
 // srcAdapter is the Sink handed to a source's Run; it fans elements out to
-// the source's resolved targets under the world read-lock so Reconfigure
-// can rewire safely.
+// the source's resolved targets under the world read lock, so a splice
+// (which holds the write lock) never runs inside a delivery. The read lock
+// is held for the whole fan-out, a park on a full queue included: a splice
+// first closes the quiesce channel, which aborts such a park (see coop.go).
 type srcAdapter struct {
 	d        *Deployment
 	targets  []srcTarget
 	finished atomic.Bool
 }
 
-// lockTarget returns the snapshot's i'th target with its VO gate (if any)
-// held. The snapshot (ts, gen) was taken under the world read lock at the
-// start of the fan-out; a splice that ran while an earlier delivery was
-// parked on downstream backpressure (read lock yielded) may have rebuilt
-// a.targets since — including adding or removing source out-edges, so
-// indexes do not survive a rewire. When gen is stale the entry's graph
-// edge is re-resolved by key against the fresh list; a missing edge was
-// spliced out (its query dropped mid-element) and nil is returned so the
-// caller skips the delivery.
-//
-// A contended gate is acquired cooperatively: the holder may itself be
-// parked on downstream backpressure with its world read lock yielded —
-// wakeable only by space or poison — so blocking on the gate while still
-// holding our own read lock would wedge a pending splice (its world.Lock
-// waits behind us, every executor is already halted, and nothing left
-// could free the space). The read lock is yielded around the wait and
-// retaken after; that inverted reacquisition (gate, then read lock)
-// cannot deadlock because the only world writer never takes gates. If a
-// splice rewired the sources while we waited, the acquired gate belongs
-// to a stale target — the edge may have gained a queue, the VO's gate may
-// have been replaced — so it is dropped and the edge re-resolved.
-func (a *srcAdapter) lockTarget(ts []srcTarget, gen uint64, i int) *srcTarget {
-	for {
-		if a.d.wireGen != gen {
-			key := ts[i].key
-			ts, gen = a.targets, a.d.wireGen
-			i = -1
-			for j := range ts {
-				if ts[j].key == key {
-					i = j
-					break
-				}
-			}
-			if i < 0 {
-				return nil
-			}
-		}
-		t := &ts[i]
-		if t.gate == nil || t.gate.TryLock() {
-			return t
-		}
-		a.d.world.RUnlock()
-		t.gate.Lock()
-		a.d.world.RLock()
-		if a.d.wireGen == gen {
-			return t
-		}
-		t.gate.Unlock()
-	}
-}
-
-// Process implements op.Sink. Locks are released via defer so that a
-// panicking operator cannot leak the world lock or a VO gate.
+// Process implements op.Sink.
 func (a *srcAdapter) Process(_ int, e stream.Element) {
 	a.d.world.RLock()
 	defer a.d.world.RUnlock()
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.deliverTo(ts, gen, i, e)
+	for i := range a.targets {
+		a.targets[i].process(e)
 	}
-}
-
-func (a *srcAdapter) deliverTo(ts []srcTarget, gen uint64, i int, e stream.Element) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return // edge spliced out while parked: the element has no destination
-	}
-	if t.gate != nil {
-		defer t.gate.Unlock()
-	}
-	t.sink.Process(t.port, e)
 }
 
 // ProcessBatch implements op.BatchSink: a bursting source hands a whole
@@ -179,18 +114,38 @@ func (a *srcAdapter) deliverTo(ts []srcTarget, gen uint64, i int, e stream.Eleme
 func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) {
 	a.d.world.RLock()
 	defer a.d.world.RUnlock()
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.deliverBatchTo(ts, gen, i, es)
+	for i := range a.targets {
+		a.targets[i].processBatch(es)
 	}
 }
 
-func (a *srcAdapter) deliverBatchTo(ts []srcTarget, gen uint64, i int, es []stream.Element) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return
+// Done implements op.Sink.
+func (a *srcAdapter) Done(int) {
+	a.d.world.RLock()
+	defer a.d.world.RUnlock()
+	a.finished.Store(true)
+	for i := range a.targets {
+		a.targets[i].done()
 	}
+}
+
+// The deliveries below hold the target's VO gate, if any, and release it
+// via defer so that a panicking operator cannot leak it. A contended gate
+// is waited for with the world read lock held: its holder is a source or
+// an executor inside a delivery, which a splice aborts (quiesce, halt)
+// before it takes the write lock.
+
+func (t *srcTarget) process(e stream.Element) {
 	if t.gate != nil {
+		t.gate.Lock()
+		defer t.gate.Unlock()
+	}
+	t.sink.Process(t.port, e)
+}
+
+func (t *srcTarget) processBatch(es []stream.Element) {
+	if t.gate != nil {
+		t.gate.Lock()
 		defer t.gate.Unlock()
 	}
 	if bs, ok := t.sink.(op.BatchSink); ok {
@@ -202,23 +157,9 @@ func (a *srcAdapter) deliverBatchTo(ts []srcTarget, gen uint64, i int, es []stre
 	}
 }
 
-// Done implements op.Sink.
-func (a *srcAdapter) Done(int) {
-	a.d.world.RLock()
-	defer a.d.world.RUnlock()
-	a.finished.Store(true)
-	ts, gen := a.targets, a.d.wireGen
-	for i := range ts {
-		a.doneTo(ts, gen, i)
-	}
-}
-
-func (a *srcAdapter) doneTo(ts []srcTarget, gen uint64, i int) {
-	t := a.lockTarget(ts, gen, i)
-	if t == nil {
-		return
-	}
+func (t *srcTarget) done() {
 	if t.gate != nil {
+		t.gate.Lock()
 		defer t.gate.Unlock()
 	}
 	t.sink.Done(t.port)
@@ -230,24 +171,9 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	cut := plan.Cut
-	if cut == nil {
-		cut = make(map[graph.EdgeKey]bool)
-	}
-	// Shard-region internal edges must always be cut, whatever the plan
-	// says: fusing split→replica or replica→merge edges into one VO would
-	// run the replicas serially and defeat the data parallelism.
-	for k := range g.MustCut() {
-		cut[k] = true
-	}
-	for k := range cut {
-		if !cut[k] {
-			continue
-		}
-		to := g.Node(k.To)
-		if to.Kind == graph.KindSink {
-			return nil, fmt.Errorf("sched: cut edge %v targets a sink; sink edges always use DI", k)
-		}
+	cut, err := planCut(g, plan)
+	if err != nil {
+		return nil, err
 	}
 	d := &Deployment{
 		g:        g,
@@ -255,6 +181,7 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 		cut:      cut,
 		queues:   make(map[graph.EdgeKey]*queue.Queue),
 		adapters: make(map[int]*srcAdapter),
+		quiesce:  make(chan struct{}),
 	}
 	if opts.TS != nil {
 		maxc := opts.TS.MaxConcurrent
@@ -270,55 +197,82 @@ func Build(g *graph.Graph, plan Plan, opts Options) (*Deployment, error) {
 	if err := d.analyze(plan.Groups, plan.SingleGroup); err != nil {
 		return nil, err
 	}
-	d.wire()
-	d.buildExecs()
+	for _, n := range g.Sources() {
+		d.adapters[n.ID] = &srcAdapter{d: d}
+	}
+	for _, e := range g.Edges() {
+		d.wire(e, cut[e.Key()], false)
+	}
+	d.rebuild()
 	return d, nil
 }
 
+// planCut returns the edges a plan cuts: its own cut edges plus every
+// shard region's internal edges, which are cut whatever the plan says —
+// fusing split→replica or replica→merge edges into one VO would run the
+// replicas serially and defeat the data parallelism. Sink edges always
+// use DI.
+func planCut(g *graph.Graph, plan Plan) (map[graph.EdgeKey]bool, error) {
+	cut := make(map[graph.EdgeKey]bool)
+	for k, v := range plan.Cut {
+		if v {
+			cut[k] = true
+		}
+	}
+	for k := range g.MustCut() {
+		cut[k] = true
+	}
+	for k := range cut {
+		if g.Node(k.To).Kind == graph.KindSink {
+			return nil, fmt.Errorf("sched: cut edge %v targets a sink; sink edges always use DI", k)
+		}
+	}
+	return cut, nil
+}
+
 // analyze computes VOs, executor groups and gates from the current cut.
+// A grouping that does not fit the VOs is an error and changes nothing.
 func (d *Deployment) analyze(groups [][]int, single bool) error {
-	d.single = single
-	d.comps = d.g.Components(d.cut)
-	d.voOf = make(map[int]int)
-	for vi, comp := range d.comps {
+	comps := d.g.Components(d.cut)
+	voOf := make(map[int]int)
+	for vi, comp := range comps {
 		for _, id := range comp {
-			d.voOf[id] = vi
+			voOf[id] = vi
 		}
 	}
 	// Executor groups.
-	d.groupOf = make([]int, len(d.comps))
-	for i := range d.groupOf {
-		d.groupOf[i] = -1
+	groupOf := make([]int, len(comps))
+	for i := range groupOf {
+		groupOf[i] = -1
 	}
 	next := 0
 	switch {
 	case single:
-		for i := range d.groupOf {
-			d.groupOf[i] = 0
+		for i := range groupOf {
+			groupOf[i] = 0
 		}
-		next = 1
 	case groups != nil:
 		for gi, ids := range groups {
 			for _, id := range ids {
-				vi, ok := d.voOf[id]
+				vi, ok := voOf[id]
 				if !ok {
 					return fmt.Errorf("sched: grouped node %d is a sink or unknown", id)
 				}
-				if d.groupOf[vi] != -1 && d.groupOf[vi] != gi {
-					return fmt.Errorf("sched: VO of node %d split across groups %d and %d", id, d.groupOf[vi], gi)
+				if groupOf[vi] != -1 && groupOf[vi] != gi {
+					return fmt.Errorf("sched: VO of node %d split across groups %d and %d", id, groupOf[vi], gi)
 				}
-				d.groupOf[vi] = gi
+				groupOf[vi] = gi
 			}
 		}
 		next = len(groups)
 	}
-	for i := range d.groupOf {
-		if d.groupOf[i] == -1 {
-			d.groupOf[i] = next
+	for i := range groupOf {
+		if groupOf[i] == -1 {
+			groupOf[i] = next
 			next++
 		}
 	}
-	d.nGroups = next
+	d.single, d.comps, d.voOf, d.groupOf = single, comps, voOf, groupOf
 
 	// Gates: a VO needs entry serialization when it can have more than
 	// one driver — several fused sources, or a fused source plus an
@@ -344,57 +298,6 @@ func (d *Deployment) analyze(groups [][]int, single bool) error {
 		}
 	}
 	return nil
-}
-
-// wire creates queues on cut edges and subscribes every edge, building the
-// source adapters along the way.
-func (d *Deployment) wire() {
-	steep, pos := chainMeta(d.g)
-	d.units = make(map[int][]*Unit)
-	for _, n := range d.g.Sources() {
-		d.adapters[n.ID] = &srcAdapter{d: d}
-	}
-	for _, e := range d.g.Edges() {
-		from, to := d.g.Node(e.From), d.g.Node(e.To)
-		var target op.Sink
-		var tport int
-		if d.cut[e.Key()] {
-			q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
-			d.queues[e.Key()] = q
-			q.Subscribe(to.Op, e.ToPort)
-			vi := d.voOf[e.To]
-			d.units[vi] = append(d.units[vi], &Unit{
-				Q:         q,
-				Gate:      d.gates[vi],
-				Steepness: steep[e.To],
-				SegPos:    pos[e.To],
-			})
-			target, tport = q, 0
-		} else {
-			tport = e.ToPort
-			switch to.Kind {
-			case graph.KindSink:
-				target = to.Sink
-			default:
-				target = to.Op
-			}
-		}
-		switch from.Kind {
-		case graph.KindSource:
-			var gate *Gate
-			if !d.cut[e.Key()] && to.Kind != graph.KindSink {
-				gate = d.gates[d.voOf[e.To]]
-			}
-			a := d.adapters[from.ID]
-			a.targets = append(a.targets, srcTarget{sink: target, port: tport, gate: gate, key: e.Key()})
-		default:
-			if sh, ok := d.g.SplitEdgeShard(e); ok {
-				from.Op.(*op.Split).SubscribeShard(sh, e.ToPort, target, tport)
-			} else {
-				from.Op.Subscribe(target, tport)
-			}
-		}
-	}
 }
 
 // fail records the first failure and fail-stops the deployment: sources
@@ -450,9 +353,8 @@ func (d *Deployment) buildExecs() {
 // queue, bound to the queue's producing side: the executor of the group
 // that drains the producing partition when there is one, otherwise the
 // source goroutines pushing directly (see coop.go). Re-run after every
-// buildExecs — group assignments move under SwitchGroups/Reconfigure. A
-// producer already parked keeps the hook it yielded through (the queue
-// snapshots it per park); old executors stay valid resume targets.
+// buildExecs, since a splice moves group assignments; no producer is
+// parked across a splice, so no stale hook survives one.
 func (d *Deployment) wireHooks() {
 	for k, q := range d.queues {
 		var x *Exec

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -139,21 +140,33 @@ func TestStrategiesSameResults(t *testing.T) {
 	}
 }
 
+// TestSwitchGroupsMidRun flips OTS -> GTS -> OTS under bounded queues
+// while elements flow. Each flip is the paper's instant switch: only the
+// executor grouping changes, so the deployment keeps the very same queue
+// objects and the same cut.
 func TestSwitchGroupsMidRun(t *testing.T) {
 	const n = 200000
 	g, sink := chainGraph(n)
-	d, err := Build(g, OTS(g), Options{})
+	d, err := Build(g, OTS(g), Options{QueueBound: 256})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	d.Start()
-	// Flip OTS -> GTS -> OTS while elements are flowing.
-	if err := d.SwitchGroups(Plan{SingleGroup: true}, "chain"); err != nil {
-		t.Fatalf("switch to GTS: %v", err)
+	queues, cut := d.Queues(), d.Cut()
+	flip := func(plan Plan, strategy string) {
+		t.Helper()
+		if err := d.SwitchGroups(plan, strategy); err != nil {
+			t.Fatalf("switch to single=%v: %v", plan.SingleGroup, err)
+		}
+		if got := d.Queues(); !reflect.DeepEqual(got, queues) {
+			t.Fatalf("switch to single=%v replaced the queues: %v -> %v", plan.SingleGroup, queues, got)
+		}
+		if got := d.Cut(); !reflect.DeepEqual(got, cut) {
+			t.Fatalf("switch to single=%v changed the cut: %v -> %v", plan.SingleGroup, cut, got)
+		}
 	}
-	if err := d.SwitchGroups(Plan{}, "fifo"); err != nil {
-		t.Fatalf("switch to OTS: %v", err)
-	}
+	flip(Plan{SingleGroup: true}, "chain")
+	flip(Plan{}, "fifo")
 	d.Wait()
 	sink.Wait()
 	if got := sink.Len(); got != n/2 {

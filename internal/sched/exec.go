@@ -314,7 +314,7 @@ func (x *Exec) lockGate(g *Gate) bool {
 // yieldFor is the executor half of the wait hook (see coop.go): called on
 // the executor's own goroutine when a push into downstream queue q must
 // park for space. It releases the TS run permit and the world read lock —
-// everything the consumer partition and a pending Reconfigure need — and
+// everything the consumer partition and a pending splice need — and
 // arms the executor's stop channel as the park's abort signal so halting
 // never hangs behind backpressure.
 func (x *Exec) yieldFor(q *queue.Queue) (bool, <-chan struct{}) {

@@ -7,8 +7,10 @@ import "sync/atomic"
 // wiring, re-derive the schedule) plus a per-retained-row cost for the
 // state export/replay. Both terms start from seeds measured on the
 // development box (BenchmarkLiveReshard: ~10ms at 50k retained rows) and
-// converge to the deployment's real costs by EWMA over measured reshards,
-// so the estimate tracks the hardware it runs on.
+// converge to the deployment's real costs by EWMA over every measured
+// splice — one that ports no state (a regroup, a query registration)
+// measures the fixed overhead — so the estimate tracks the hardware it
+// runs on.
 const (
 	seedReshardOverheadNS = 2_000_000 // ~2ms fixed splice cost
 	seedReshardPerRowNS   = 200       // ~200ns export+rehash+replay per row
@@ -37,8 +39,8 @@ func ewmaStore(a *atomic.Int64, sample, seed int64) {
 	a.Store(prev + int64(reshardModelAlpha*float64(sample-prev)))
 }
 
-// observeReshard feeds one measured reshard (total pause, rows ported)
-// into the model. Called under the admin lock from Reshard.
+// observeReshard feeds one measured splice (total pause, rows ported)
+// into the model. Called under the admin lock at the end of Splice.
 func (d *Deployment) observeReshard(elapsedNS int64, rows int) {
 	if elapsedNS <= 0 {
 		return

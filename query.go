@@ -415,7 +415,7 @@ func (e *Engine) DropQuery(name string) error {
 					continue
 				}
 				for _, ed := range append([]graph.Edge(nil), e.g.InEdges(n.ID)...) {
-					sp.RemoveEdge(ed, prunedSet[ed.From])
+					sp.RemoveEdge(ed)
 				}
 				sp.FlushNode(n)
 			}
