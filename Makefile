@@ -48,30 +48,59 @@ bounded:
 saturation:
 	$(GO) test -run TestSaturationShape -count=3 ./internal/exp
 
-# Full benchmark run; the scheduler numbers also land in BENCH_sched.json
-# (name -> ns/op, allocs/op) for machine diffing across PRs.
+# The tracked benchmark suites. Suite <s> measures the packages in
+# BENCH_PKGS_<s> with -bench BENCH_RUN_<s> (default .) and is recorded in
+# BENCH_<s>.json (name -> ns/op, allocs/op) for machine diffing across
+# PRs. bench, benchdiff and benchsmoke all run exactly this list;
+# BENCH_UNTRACKED is measured by bench and smoked but has no baseline.
+BENCH_SUITES := sched ingest ops shard multi adapt
+BENCH_PKGS_sched := ./internal/sched
+BENCH_PKGS_ingest := ./internal/ingest ./cmd/hmtsd
+BENCH_PKGS_ops := ./internal/op
+BENCH_PKGS_shard := .
+BENCH_RUN_shard := ShardScaling|LiveReshard
+BENCH_PKGS_multi := .
+BENCH_RUN_multi := MultiQuery|RegisterSimilar
+BENCH_PKGS_adapt := ./adapt
+BENCH_UNTRACKED := ./internal/queue
+
+# bench_test(suite, flags): the go test command measuring one suite.
+bench_test = $(GO) test -run '^$$' -bench '$(or $(BENCH_RUN_$(1)),.)' $(2) $(BENCH_PKGS_$(1))
+
+# Each canned line below is one recipe line: a failing suite stops make.
+define bench_record
+	$(call bench_test,$(1),-benchmem) | $(GO) run ./cmd/benchjson > BENCH_$(1).json
+	@echo wrote BENCH_$(1).json
+
+endef
+
+define bench_measure
+	$(call bench_test,$(1),-benchmem -benchtime $(BENCHDIFF_TIME) -count=2) | $(GO) run ./cmd/benchjson > .bench/$(1).json
+
+endef
+
+define bench_diff
+	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_$(1).json .bench/$(1).json
+
+endef
+
+define bench_smoke
+	$(call bench_test,$(1),-benchtime 1x)
+
+endef
+
+# Full benchmark run; every tracked suite lands in its BENCH_<s>.json.
 bench:
-	$(GO) test -bench . -benchmem ./internal/queue
-	$(GO) test -bench . -benchmem ./internal/sched | $(GO) run ./cmd/benchjson > BENCH_sched.json
-	@echo wrote BENCH_sched.json
-	{ $(GO) test -bench . -benchmem ./internal/ingest; \
-	  $(GO) test -bench . -benchmem ./cmd/hmtsd; } | $(GO) run ./cmd/benchjson > BENCH_ingest.json
-	@echo wrote BENCH_ingest.json
-	$(GO) test -bench . -benchmem ./internal/op | $(GO) run ./cmd/benchjson > BENCH_ops.json
-	@echo wrote BENCH_ops.json
-	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_shard.json
-	@echo wrote BENCH_shard.json
-	$(GO) test -run '^$$' -bench 'MultiQuery|RegisterSimilar' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_multi.json
-	@echo wrote BENCH_multi.json
-	$(GO) test -bench . -benchmem ./adapt | $(GO) run ./cmd/benchjson > BENCH_adapt.json
-	@echo wrote BENCH_adapt.json
+	$(GO) test -bench . -benchmem $(BENCH_UNTRACKED)
+	$(foreach s,$(BENCH_SUITES),$(call bench_record,$(s)))
 
 # One iteration of every benchmark: a compile-and-smoke pass for ci. The
-# root package runs only the shard benches — the Fig* experiment benchmarks
-# are full evaluation runs and far too slow for a smoke pass.
+# root package runs only the shard and multi-query benches — the Fig*
+# experiment benchmarks are full evaluation runs and far too slow for a
+# smoke pass.
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/queue ./internal/sched ./internal/ingest ./internal/op ./cmd/hmtsd ./adapt
-	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard|MultiQuery|RegisterSimilar' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_UNTRACKED)
+	$(foreach s,$(BENCH_SUITES),$(call bench_smoke,$(s)))
 
 # The canonical soak gate: ~9 seconds of open-loop bursty load through the
 # external ingest path with a slow-consumer stall, a live mode switch, and
@@ -111,19 +140,8 @@ BENCHDIFF_TIME ?= 0.2s
 BENCHDIFF_FLAGS ?= -q
 benchdiff:
 	@mkdir -p .bench
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/sched | $(GO) run ./cmd/benchjson > .bench/sched.json
-	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/ingest; \
-	  $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./cmd/hmtsd; } | $(GO) run ./cmd/benchjson > .bench/ingest.json
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./internal/op | $(GO) run ./cmd/benchjson > .bench/ops.json
-	$(GO) test -run '^$$' -bench 'ShardScaling|LiveReshard' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/shard.json
-	$(GO) test -run '^$$' -bench 'MultiQuery|RegisterSimilar' -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 . | $(GO) run ./cmd/benchjson > .bench/multi.json
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHDIFF_TIME) -count=2 ./adapt | $(GO) run ./cmd/benchjson > .bench/adapt.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_sched.json .bench/sched.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_ingest.json .bench/ingest.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_ops.json .bench/ops.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_shard.json .bench/shard.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_multi.json .bench/multi.json
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) BENCH_adapt.json .bench/adapt.json
+	$(foreach s,$(BENCH_SUITES),$(call bench_measure,$(s)))
+	$(foreach s,$(BENCH_SUITES),$(call bench_diff,$(s)))
 
 # Short fuzz pass over the hmtsd line protocol and the order-restoring
 # shard merge; the corpora keep growing under testdata/fuzz as failures
@@ -132,4 +150,5 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzPushParse -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./cmd/hmtsd
+	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op

@@ -369,6 +369,11 @@ func (s *Stream) CountSink(name string) *Counter {
 // the given input port and Done signals end of stream on that port.
 // Implementations must be safe for concurrent calls when the query runs
 // under a multi-threaded mode.
+//
+// A sink that also has ProcessBatch(port int, es []Element) receives whole
+// batches through it instead of one Process call per element. The call
+// must behave like Process on each element in order, and the sink must not
+// retain or mutate es after returning: the caller reuses the slice.
 type Sink interface {
 	Process(port int, e Element)
 	Done(port int)

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strconv"
 	"strings"
 	"testing"
+
+	hmts "github.com/dsms/hmts"
 )
 
 // Ingestion throughput of the two wire encodings, measured per element
@@ -142,5 +145,49 @@ func BenchmarkIngestFramed(b *testing.B) {
 	w.Flush()
 	if err := <-errc; err != nil {
 		b.Fatal(err)
+	}
+}
+
+// egressBatch is the batch size the result egress bench and its
+// allocation guard deliver, matching a full PUSHB frame.
+const egressBatch = 512
+
+// egressSink returns a result sink on a session whose writer discards its
+// output, and one batch of results with varied widths.
+func egressSink() (*resultSink, []hmts.Element) {
+	s := &session{w: bufio.NewWriterSize(io.Discard, 64*1024), flushReq: make(chan struct{}, 1)}
+	es := make([]hmts.Element, egressBatch)
+	for i := range es {
+		es[i] = hmts.Element{TS: hmts.Time(1_700_000_000_000 + i), Key: int64(i % 1000), Val: float64(i) * 0.37}
+	}
+	return &resultSink{s: s, id: 3}, es
+}
+
+// BenchmarkResultEgress measures the sink half of the result path: a batch
+// arriving at a query's resultSink is encoded into the session's write
+// buffer under one lock. One op is one RESULT line.
+func BenchmarkResultEgress(b *testing.B) {
+	r, es := egressSink()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= egressBatch {
+		r.ProcessBatch(0, es[:min(n, egressBatch)])
+	}
+}
+
+// TestResultEgressZeroAllocs guards the steady-state egress path: encoding
+// a batch of results must not allocate. One run delivers enough batches
+// to fill the 64 KB write buffer twice, so an allocation on buffer
+// overflow shows even though AllocsPerRun rounds down.
+func TestResultEgressZeroAllocs(t *testing.T) {
+	const batches = 8
+	r, es := egressSink()
+	a := testing.AllocsPerRun(50, func() {
+		for i := 0; i < batches; i++ {
+			r.ProcessBatch(0, es)
+		}
+	})
+	if a != 0 {
+		t.Fatalf("%d batches of %d results: %v allocs, want 0", batches, len(es), a)
 	}
 }

@@ -1,14 +1,16 @@
 // Fuzz coverage for the hmtsd wire protocol: the three places raw client
-// bytes meet parsing code. The invariants are the session's safety
-// properties — no panic on any input, and every allocation bounded by a
-// protocol constant, so a hostile or desynced client can at worst get its
-// own session aborted.
+// bytes meet parsing code, plus the RESULT line encoder. The parsing
+// invariants are the session's safety properties — no panic on any input,
+// and every allocation bounded by a protocol constant, so a hostile or
+// desynced client can at worst get its own session aborted. The encoder
+// must stay byte-identical to the fmt format clients were written against.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -130,4 +132,69 @@ func TestFrameDecodeBoundedAllocation(t *testing.T) {
 	if err != nil || name != "s" || count != maxFrameCount {
 		t.Fatalf("max legal frame rejected: %v", err)
 	}
+}
+
+// resultLineFmt is the RESULT wire format the append encoder replaces.
+func resultLineFmt(id int, e hmts.Element) string {
+	return fmt.Sprintf("RESULT %d %d %d %g\n", id, e.TS, e.Key, e.Val)
+}
+
+// checkResultLine fails unless appendResult, and a resultSink writing
+// through a tiny buffer by Process and by ProcessBatch, all produce the
+// fmt bytes for e.
+func checkResultLine(t *testing.T, id int, e hmts.Element) {
+	t.Helper()
+	want := resultLineFmt(id, e)
+	if got := string(appendResult(nil, id, e)); got != want {
+		t.Fatalf("appendResult(%d, %+v) = %q, want %q", id, e, got, want)
+	}
+	if len(want) > maxResultLine {
+		t.Fatalf("%q is %d bytes, over maxResultLine %d", want, len(want), maxResultLine)
+	}
+	// 16 bytes is bufio's minimum: every line overflows the buffer.
+	for _, size := range []int{16, 128} {
+		var out bytes.Buffer
+		s := &session{w: bufio.NewWriterSize(&out, size), flushReq: make(chan struct{}, 1)}
+		r := &resultSink{s: s, id: id}
+		r.Process(0, e)
+		r.ProcessBatch(0, []hmts.Element{e, e})
+		s.w.Flush()
+		if got := out.String(); got != strings.Repeat(want, 3) {
+			t.Fatalf("buffer %d: sink wrote %q, want 3x %q", size, got, want)
+		}
+	}
+}
+
+func TestResultLineMatchesFmt(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 3.14159, 123456789,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64,
+		// Around the %g exponent switch.
+		1e20, 1e21, 123456789012345678901, 1e-4, 1e-5, 1e-7, 0.000123, 1e6, 1e7,
+	}
+	ints := []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64}
+	for _, v := range vals {
+		for _, n := range ints {
+			checkResultLine(t, 7, hmts.Element{TS: n, Key: -n, Val: v})
+			checkResultLine(t, 0, hmts.Element{TS: n, Key: n, Val: v})
+		}
+	}
+	checkResultLine(t, math.MaxInt, hmts.Element{TS: math.MinInt64, Key: math.MinInt64, Val: -2.2250738585072014e-308})
+	checkResultLine(t, math.MinInt, hmts.Element{TS: math.MaxInt64, Key: math.MaxInt64, Val: -math.MaxFloat64})
+}
+
+func FuzzResultLine(f *testing.F) {
+	f.Add(0, int64(0), int64(0), 0.0)
+	f.Add(3, int64(1_000_000), int64(-42), 1.5)
+	f.Add(-1, int64(math.MinInt64), int64(math.MaxInt64), math.NaN())
+	f.Add(12, int64(5), int64(6), math.Inf(-1))
+	f.Add(1, int64(1), int64(1), 5e-324)
+	f.Add(1, int64(1), int64(1), math.MaxFloat64)
+	f.Add(1, int64(1), int64(1), 1e21)
+	f.Add(1, int64(1), int64(1), 1e-7)
+	f.Fuzz(func(t *testing.T, id int, ts, key int64, val float64) {
+		checkResultLine(t, id, hmts.Element{TS: ts, Key: key, Val: val})
+	})
 }

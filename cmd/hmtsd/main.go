@@ -76,6 +76,7 @@ import (
 	"time"
 
 	hmts "github.com/dsms/hmts"
+	"github.com/dsms/hmts/internal/op"
 	"github.com/dsms/hmts/ql"
 )
 
@@ -148,19 +149,6 @@ func (s *session) send(format string, args ...any) {
 	fmt.Fprintf(s.w, format+"\n", args...)
 	s.w.Flush()
 	s.mu.Unlock()
-}
-
-// sendAsync writes one line into the buffer; the background flusher pushes
-// it out within a few milliseconds. Result streams use this so high result
-// rates do not pay a syscall per element.
-func (s *session) sendAsync(format string, args ...any) {
-	s.mu.Lock()
-	fmt.Fprintf(s.w, format+"\n", args...)
-	s.mu.Unlock()
-	select {
-	case s.flushReq <- struct{}{}:
-	default:
-	}
 }
 
 // flusher drains buffered result lines shortly after they are written.
@@ -682,15 +670,63 @@ func parseMode(rest string) (hmts.Mode, string, error) {
 	return mode, strategy, nil
 }
 
-// resultSink streams query results to the client connection.
+// resultSink streams query results to the client connection. Under direct
+// interoperability the sink runs inside the partition that feeds it, so
+// its cost is charged to the upstream operator's c(v): results are encoded
+// without allocating, and a batch takes the session lock once.
 type resultSink struct {
 	s  *session
 	id int
 }
 
+// A signature drift must fail the build rather than silently fall back to
+// per-element delivery.
+var _ op.BatchSink = (*resultSink)(nil)
+
+// maxResultLine bounds one encoded RESULT line: the keyword, three
+// 20-byte integers, a 24-byte float and the separators.
+const maxResultLine = 96
+
+// appendResult appends one result line to b, byte-identical to
+// fmt.Sprintf("RESULT %d %d %d %g\n", id, e.TS, e.Key, e.Val).
+func appendResult(b []byte, id int, e hmts.Element) []byte {
+	b = append(b, "RESULT "...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.TS, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.Key, 10)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, e.Val, 'g', -1, 64)
+	return append(b, '\n')
+}
+
 // Process implements hmts.Sink.
-func (r *resultSink) Process(_ int, e hmts.Element) {
-	r.s.sendAsync("RESULT %d %d %d %g", r.id, e.TS, e.Key, e.Val)
+func (r *resultSink) Process(port int, e hmts.Element) {
+	r.ProcessBatch(port, []hmts.Element{e})
+}
+
+// ProcessBatch implements op.BatchSink. The batch takes the session lock
+// once and kicks the background flusher once; the flusher pushes the lines
+// out within a few milliseconds, so high result rates do not pay a syscall
+// per line. Each line is encoded straight into the write buffer, flushed
+// first when the line might not fit. Write errors stay sticky in the
+// bufio.Writer and are dropped here: a vanished client ends the session on
+// the read side.
+func (r *resultSink) ProcessBatch(_ int, es []hmts.Element) {
+	s := r.s
+	s.mu.Lock()
+	for _, e := range es {
+		if s.w.Available() < maxResultLine {
+			s.w.Flush()
+		}
+		s.w.Write(appendResult(s.w.AvailableBuffer(), r.id, e))
+	}
+	s.mu.Unlock()
+	select {
+	case s.flushReq <- struct{}{}:
+	default:
+	}
 }
 
 // Done implements hmts.Sink.

@@ -202,12 +202,14 @@ func TestReconfigureWithBoundedQueuesUnderLoad(t *testing.T) {
 // TestReconfigureSourceGateWait is the regression for the source-side
 // gate deadlock: two sources fused into one gated VO feed a bounded
 // queue whose consumer partition is wedged. Source A fills the queue and
-// parks holding the VO entry gate (the wait hook yields its world read
-// lock); source B blocks on the gate. If B kept its read lock across the
-// gate wait, Reconfigure — which has already halted the only consumer —
-// would hang forever in world.Lock() behind it. With cooperative gate
-// acquisition B yields the lock around the wait, the splice runs past
-// the full queue, and B re-resolves its rewired target afterwards.
+// parks holding the VO entry gate and its world read lock; source B
+// blocks on the gate, holding its read lock too. Reconfigure has already
+// halted the only consumer, so it would hang forever in world.Lock()
+// behind them. The splice transaction quiesces the sources first:
+// closing the quiesce channel aborts A's park, A's push completes past
+// the bound and frees the gate, and B's delivery completes the same way,
+// so both release their read locks. The sources resume against the
+// rewired targets afterwards, and the splice drops nothing.
 func TestReconfigureSourceGateWait(t *testing.T) {
 	const n = 10_000
 	const bound = 4
@@ -285,11 +287,11 @@ func TestReconfigureSourceGateWait(t *testing.T) {
 	}
 	d.Wait()
 	sink.Wait()
-	got := uint64(len(sink.Elements()))
-	dropped := qub.Dropped()
-	if got+dropped != 2*n {
-		t.Fatalf("sink got %d elements + %d dropped in the splice, want %d total",
-			got, dropped, 2*n)
+	if dropped := qub.Dropped(); dropped != 0 {
+		t.Fatalf("splice dropped %d elements, want 0", dropped)
+	}
+	if got := len(sink.Elements()); got != 2*n {
+		t.Fatalf("sink got %d elements, want %d", got, 2*n)
 	}
 	if q := d.Queue(keyOf(nb, nc)); q == nil {
 		t.Fatal("spliced-in queue missing")
