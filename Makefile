@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race saturation bench benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff fuzzsmoke
+.PHONY: ci vet build test race saturation bench benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff fuzzsmoke e2esmoke
 
 # The gate every PR must pass. benchsmoke compiles and runs every benchmark
 # once so a PR cannot rot the measurement harness silently; soakshort runs
@@ -11,8 +11,9 @@ GO ?= go
 # registers and drops 50 standing queries live mid-burst through the
 # multi-query subsumption path with a zero-drop SLO; benchdiff re-measures
 # the tracked benchmarks and fails on regressions beyond the tolerance
-# band.
-ci: vet build test race saturation benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff
+# band; e2esmoke runs every end-to-end benchmark workload briefly against
+# its reference checker.
+ci: vet build test race saturation benchsmoke bounded soakshort soakshard soakautoscale soakchurn benchdiff e2esmoke
 
 # Covers cmd/ as well as internal/ — ./... is the whole module.
 vet:
@@ -27,8 +28,8 @@ test:
 # The batched transfer path is lock-heavy and concurrent, and the ingress
 # buffer and adaptive controller are exercised from many goroutines; keep
 # the data-race detector on their packages in the gate. internal/op is
-# included for the batch/scalar equivalence harness, which exercises the
-# vectorized operator paths end to end. The root package, the daemon and
+# included for the batch-boundary invariance harness, which drives every
+# operator with one-element and random-size batches. The root package, the daemon and
 # the soak harness prove the public Engine methods safe against each
 # other (TestActuatorsConcurrentWithMetrics hammers every actuator).
 race:
@@ -152,3 +153,19 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzResultLine -fuzztime 10s ./cmd/hmtsd
 	$(GO) test -run '^$$' -fuzz FuzzShardMerge -fuzztime 10s ./internal/op
+
+# The end-to-end correctness smoke: each workload of BENCHMARK.json runs
+# for two seconds through hmtsd (bash e2ebench/run.sh) with the reference
+# checker on. A workload fails the leg unless its JSON record reports
+# "correct":true — no missing, extra or wrong result — and "failed":0.
+# Timing metrics are printed but not gated here; BENCHMARK.json bounds
+# them. About 30 s per workload, build included.
+E2E_WORKLOADS := agg_results sharded_agg query_churn
+e2esmoke:
+	@for w in $(E2E_WORKLOADS); do \
+		out=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		rec=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "e2esmoke $$w: $$rec"; \
+		case "$$rec" in *'"correct":true'*) ;; *) echo "e2esmoke: $$w results are not correct" >&2; exit 1;; esac; \
+		case "$$rec" in *'"failed":0,'*|*'"failed":0}'*) ;; *) echo "e2esmoke: $$w has failed operations" >&2; exit 1;; esac; \
+	done

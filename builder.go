@@ -370,19 +370,42 @@ func (s *Stream) CountSink(name string) *Counter {
 // Implementations must be safe for concurrent calls when the query runs
 // under a multi-threaded mode.
 //
-// A sink that also has ProcessBatch(port int, es []Element) receives whole
-// batches through it instead of one Process call per element. The call
-// must behave like Process on each element in order, and the sink must not
-// retain or mutate es after returning: the caller reuses the slice.
+// Inside the engine results travel in batches. A sink that also has
+// ProcessBatch(port int, es []Element) receives them that way, with no
+// per-element call. Batch boundaries carry no meaning — the same results
+// may arrive cut differently from run to run — so the sink must treat a
+// batch exactly as the same elements one by one, in order. It must not
+// retain or mutate es after returning: the caller reuses the slice. A sink
+// without ProcessBatch gets one Process call per element.
 type Sink interface {
 	Process(port int, e Element)
 	Done(port int)
 }
 
+// elementSink adapts a Sink without ProcessBatch to the engine's batch
+// path: it is the one place the engine delivers element by element.
+type elementSink struct{ Sink }
+
+// ProcessBatch hands the batch to Process one element at a time.
+func (s elementSink) ProcessBatch(port int, es []Element) {
+	for _, e := range es {
+		s.Process(port, e)
+	}
+}
+
+// adaptSink returns the engine-side view of a user sink: the sink itself
+// when it takes batches, a per-element loop around it otherwise.
+func adaptSink(s Sink) op.Sink {
+	if bs, ok := s.(op.Sink); ok {
+		return bs
+	}
+	return elementSink{s}
+}
+
 // Into terminates the stream in a caller-provided sink (for example a
 // network writer).
 func (s *Stream) Into(name string, sink Sink) {
-	n := s.eng.placeSink(s.eng.g.AddSink(name, sink))
+	n := s.eng.placeSink(s.eng.g.AddSink(name, adaptSink(sink)))
 	s.eng.g.Connect(s.node, n, 0)
 }
 

@@ -681,7 +681,7 @@ type resultSink struct {
 
 // A signature drift must fail the build rather than silently fall back to
 // per-element delivery.
-var _ op.BatchSink = (*resultSink)(nil)
+var _ op.Sink = (*resultSink)(nil)
 
 // maxResultLine bounds one encoded RESULT line: the keyword, three
 // 20-byte integers, a 24-byte float and the separators.
@@ -706,7 +706,8 @@ func (r *resultSink) Process(port int, e hmts.Element) {
 	r.ProcessBatch(port, []hmts.Element{e})
 }
 
-// ProcessBatch implements op.BatchSink. The batch takes the session lock
+// ProcessBatch implements op.Sink, so the engine hands it whole batches
+// instead of calling Process per element. The batch takes the session lock
 // once and kicks the background flusher once; the flusher pushes the lines
 // out within a few milliseconds, so high result rates do not pay a syscall
 // per line. Each line is encoded straight into the write buffer, flushed

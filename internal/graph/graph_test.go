@@ -250,10 +250,10 @@ func TestDOT(t *testing.T) {
 func TestAdoptMeasuredStats(t *testing.T) {
 	g, nodes := chain(1)
 	f := nodes[1]
-	f.Op.Stats().RecordIn(0)
-	f.Op.Stats().RecordIn(1000)
+	f.Op.Stats().RecordInBatch(0, 0, 1)
+	f.Op.Stats().RecordInBatch(1000, 1000, 1)
 	f.Op.Stats().RecordOut(1)
-	f.Op.Stats().RecordBusy(777)
+	f.Op.Stats().RecordBusyBatch(777, 1)
 	g.AdoptMeasuredStats()
 	if f.CostNS != 777 {
 		t.Fatalf("cost not adopted: %v", f.CostNS)

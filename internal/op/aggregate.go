@@ -265,8 +265,8 @@ func (a *WindowAgg) result(g *aggState) float64 {
 }
 
 // step applies one element to the aggregate state and returns the updated
-// aggregate to emit. Shared by the scalar and batch paths so they cannot
-// diverge semantically.
+// aggregate to emit. ProcessBatch and state import both replay through it
+// so they cannot diverge semantically.
 func (a *WindowAgg) step(e stream.Element) stream.Element {
 	key := a.group(e)
 	g := a.groups[key]
@@ -310,15 +310,7 @@ func (a *WindowAgg) ImportShardElement(_ int, e stream.Element) {
 	a.heldPub.Store(int64(a.held))
 }
 
-// Process implements Sink.
-func (a *WindowAgg) Process(_ int, e stream.Element) {
-	t := a.BeginWork(e)
-	a.Emit(a.step(e))
-	a.heldPub.Store(int64(a.held))
-	a.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. Expiry stays per element — the
+// ProcessBatch implements Sink. Expiry stays per element — the
 // emitted aggregate value at each element's event time depends on it — but
 // the heap makes it O(1) when nothing is due, and metering and downstream
 // dispatch are hoisted out of the loop: one stats update and one fan-out

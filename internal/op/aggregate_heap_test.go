@@ -15,14 +15,14 @@ import (
 func TestWindowAggIdleGroupExpiry(t *testing.T) {
 	a := NewWindowAgg("a", AggSum, 100, func(e stream.Element) int64 { return e.Key })
 	a.Subscribe(NewNull(1), 0)
-	a.Process(0, stream.Element{TS: 0, Key: 1, Val: 5})
-	a.Process(0, stream.Element{TS: 10, Key: 2, Val: 7})
+	feed(a, 0, stream.Element{TS: 0, Key: 1, Val: 5})
+	feed(a, 0, stream.Element{TS: 10, Key: 2, Val: 7})
 	if got := a.GroupCount(); got != 2 {
 		t.Fatalf("GroupCount = %d, want 2", got)
 	}
 	// Key 1 goes idle; an arrival on key 2 far past the window must expire
 	// and delete it without any key-1 traffic.
-	a.Process(0, stream.Element{TS: 500, Key: 2, Val: 1})
+	feed(a, 0, stream.Element{TS: 500, Key: 2, Val: 1})
 	if got := a.GroupCount(); got != 1 {
 		t.Fatalf("GroupCount = %d after idle-group deadline, want 1", got)
 	}
@@ -51,7 +51,7 @@ func TestWindowAggMatchesBruteForce(t *testing.T) {
 				ts += rng.Int64n(25)
 				e := stream.Element{TS: ts, Key: rng.Int64n(64), Val: float64(rng.Int64n(1000)) - 500}
 				all = append(all, e)
-				a.Process(0, e)
+				feed(a, 0, e)
 
 				key := e.Key % 8
 				want := bruteAgg(kind, all, key, ts-window)
@@ -130,7 +130,7 @@ func TestWindowAggHeapInvariant(t *testing.T) {
 	var ts int64
 	for i := 0; i < 5000; i++ {
 		ts += rng.Int64n(30)
-		a.Process(0, stream.Element{TS: ts, Key: rng.Int64n(200), Val: float64(i)})
+		feed(a, 0, stream.Element{TS: ts, Key: rng.Int64n(200), Val: float64(i)})
 		if i%250 == 0 {
 			checkHeap(t, a)
 		}

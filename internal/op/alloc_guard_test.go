@@ -17,15 +17,17 @@ func TestTopKZeroAlloc(t *testing.T) {
 	k.Subscribe(&Null{}, 0)
 	rng := xrand.New(1)
 	var ts int64
-	feed := func(n int) {
+	one := make([]stream.Element, 1)
+	run := func(n int) {
 		for i := 0; i < n; i++ {
 			ts += 1000
-			k.Process(0, stream.Element{TS: ts, Key: rng.Int64n(64)})
+			one[0] = stream.Element{TS: ts, Key: rng.Int64n(64)}
+			k.ProcessBatch(0, one)
 		}
 	}
-	feed(4096) // warm up: window filled, maps and buffers at steady size
-	if avg := testing.AllocsPerRun(1000, func() { feed(1) }); avg != 0 {
-		t.Fatalf("TopK.Process allocates %.2f/op in steady state, want 0", avg)
+	run(4096) // warm up: window filled, maps and buffers at steady size
+	if avg := testing.AllocsPerRun(1000, func() { run(1) }); avg != 0 {
+		t.Fatalf("TopK allocates %.2f per one-element batch in steady state, want 0", avg)
 	}
 }
 
@@ -40,15 +42,17 @@ func TestWindowAggExpiryZeroAlloc(t *testing.T) {
 	a.Subscribe(NewNull(1), 0)
 	var ts int64
 	var i int
-	feed := func(n int) {
+	one := make([]stream.Element, 1)
+	run := func(n int) {
 		for j := 0; j < n; j++ {
 			ts += dt
-			a.Process(0, stream.Element{TS: ts, Key: int64(i % groups), Val: 1})
+			one[0] = stream.Element{TS: ts, Key: int64(i % groups), Val: 1}
+			a.ProcessBatch(0, one)
 			i++
 		}
 	}
-	feed(4 * groups) // reach steady state: every group's fifo warmed
-	if avg := testing.AllocsPerRun(1000, func() { feed(1) }); avg != 0 {
-		t.Fatalf("WindowAgg.Process allocates %.2f/op in steady state, want 0", avg)
+	run(4 * groups) // reach steady state: every group's fifo warmed
+	if avg := testing.AllocsPerRun(1000, func() { run(1) }); avg != 0 {
+		t.Fatalf("WindowAgg allocates %.2f per one-element batch in steady state, want 0", avg)
 	}
 }

@@ -8,27 +8,15 @@ import (
 	"github.com/dsms/hmts/internal/stream"
 )
 
-// edge is one subscription: deliver to sink at its input port. batch is the
-// sink's BatchSink view, resolved once at Subscribe time so that EmitBatch
-// pays no per-batch type assertion.
+// edge is one subscription: deliver to sink at its input port.
 type edge struct {
-	sink  Sink
-	batch BatchSink
-	port  int
-}
-
-// newEdge resolves the sink's batch capability once.
-func newEdge(s Sink, port int) edge {
-	e := edge{sink: s, port: port}
-	if bs, ok := s.(BatchSink); ok {
-		e.batch = bs
-	}
-	return e
+	sink Sink
+	port int
 }
 
 // Base provides the bookkeeping shared by all operators: naming, output
 // subscriptions, fan-out emission, per-port end-of-stream aggregation and
-// statistics. Embed it and implement Process/Done.
+// statistics. Embed it and implement ProcessBatch/Done.
 type Base struct {
 	name   string
 	st     *stats.OpStats
@@ -36,7 +24,7 @@ type Base struct {
 	ins    int
 	doneIn []bool
 	closed atomic.Bool
-	meterN uint64
+	meterN int
 	// obuf is the operator's reusable batch output buffer (see scratch/
 	// flush). It holds at most one batch's worth of emitted elements
 	// between ProcessBatch calls — bounded retention, unlike a leaked
@@ -45,7 +33,8 @@ type Base struct {
 	// prog, when non-nil, is the shard-progress watermark this operator
 	// publishes for an order-restoring Merge downstream: the Seq of the
 	// last input whose outputs have all been emitted. curSeq stages the
-	// value between BeginWork and EndWork. See EnableShardProgress.
+	// value between BeginWorkBatch and EndWorkBatch. See
+	// EnableShardProgress.
 	prog   *ShardProgress
 	curSeq uint64
 }
@@ -73,7 +62,7 @@ func (b *Base) Ins() int { return b.ins }
 
 // Subscribe implements Operator.
 func (b *Base) Subscribe(s Sink, port int) {
-	b.edges = append(b.edges, newEdge(s, port))
+	b.edges = append(b.edges, edge{sink: s, port: port})
 }
 
 // Unsubscribe implements Operator. It panics if the edge is not present,
@@ -91,34 +80,18 @@ func (b *Base) Unsubscribe(s Sink, port int) {
 // Fanout returns the number of output subscriptions.
 func (b *Base) Fanout() int { return len(b.edges) }
 
-// Emit pushes one result element to every subscriber via DI and counts it.
-func (b *Base) Emit(e stream.Element) {
-	b.st.RecordOut(1)
-	for _, ed := range b.edges {
-		ed.sink.Process(ed.port, e)
-	}
-}
-
 // EmitBatch pushes a batch of results to every subscriber with one stats
-// update and one dispatch per edge: batch-capable subscribers receive the
-// whole slice via ProcessBatch, the rest an in-order Process loop. The
-// slice is handed to every edge in turn, so subscribers must neither retain
-// nor mutate it (the BatchSink contract). Ordering is preserved per edge;
-// across edges the fan-out interleaving coarsens to batch granularity.
+// update and one ProcessBatch call per edge. The slice is handed to every
+// edge in turn, so subscribers must neither retain nor mutate it (the Sink
+// contract). Ordering is preserved per edge; across edges the fan-out
+// interleaving coarsens to batch granularity.
 func (b *Base) EmitBatch(es []stream.Element) {
 	if len(es) == 0 {
 		return
 	}
 	b.st.RecordOut(len(es))
-	for i := range b.edges {
-		ed := &b.edges[i]
-		if ed.batch != nil {
-			ed.batch.ProcessBatch(ed.port, es)
-			continue
-		}
-		for _, e := range es {
-			ed.sink.Process(ed.port, e)
-		}
+	for _, ed := range b.edges {
+		ed.sink.ProcessBatch(ed.port, es)
 	}
 }
 
@@ -171,7 +144,7 @@ func (b *Base) MarkDone(port int) bool {
 // EnableShardProgress allocates (once) and returns the operator's shard
 // progress watermark. The deployment enables it on shard replicas so the
 // downstream Merge can read how far the replica has processed; it costs one
-// predictable branch per Process call when disabled.
+// predictable branch per batch when disabled.
 func (b *Base) EnableShardProgress() *ShardProgress {
 	if b.prog == nil {
 		b.prog = &ShardProgress{}
@@ -179,48 +152,21 @@ func (b *Base) EnableShardProgress() *ShardProgress {
 	return b.prog
 }
 
-// BeginWork records an arriving element (feeding the d(v) estimator) and,
-// on sampled elements, returns a start time for cost metering; otherwise
-// it returns -1. Pair with EndWork.
-func (b *Base) BeginWork(e stream.Element) int64 {
-	b.st.RecordIn(e.TS)
-	if b.prog != nil {
-		b.curSeq = e.Seq
-	}
-	b.meterN++
-	if b.meterN%meterEvery == 0 {
-		return monotime()
-	}
-	return -1
-}
-
-// EndWork completes cost metering begun by BeginWork. When shard progress
-// is enabled it also publishes the just-finished element's Seq — after the
-// operator has emitted all outputs for it, which is what the Merge frontier
-// protocol relies on.
-func (b *Base) EndWork(start int64) {
-	if b.prog != nil {
-		b.prog.done.Store(b.curSeq)
-	}
-	if start >= 0 {
-		b.st.RecordBusy(monotime() - start)
-	}
-}
-
 // BeginWorkBatch records a whole arriving batch with one stats update (one
-// counter add and one d(v) observation instead of len(es) of each) and, on
-// sampled batches, returns a start time for cost metering; otherwise -1.
-// Pair with EndWorkBatch. es must be non-empty.
+// counter add and one d(v) observation) and, when the batch carries the
+// meter count past meterEvery elements, returns a start time for cost
+// metering; otherwise -1. Pair with EndWorkBatch. es must be non-empty.
 func (b *Base) BeginWorkBatch(es []stream.Element) int64 {
 	b.st.RecordInBatch(es[0].TS, es[len(es)-1].TS, len(es))
 	if b.prog != nil {
 		b.curSeq = es[len(es)-1].Seq
 	}
-	b.meterN++
-	if b.meterN%meterBatchEvery == 0 {
-		return monotime()
+	b.meterN += len(es)
+	if b.meterN < meterEvery {
+		return -1
 	}
-	return -1
+	b.meterN = 0
+	return monotime()
 }
 
 // EndWorkBatch completes cost metering begun by BeginWorkBatch over n

@@ -33,17 +33,19 @@ func mkJoinChain() (*Filter, *SHJ) {
 }
 
 // BenchmarkChainScalarVsBatch measures the per-element cost of identical
-// workloads delivered element-at-a-time versus in 64-element batches —
-// the headline number for vectorized DI execution. ns/op is ns/element in
-// both modes.
+// workloads delivered as one-element batches (one element per call, the
+// "scalar" rows) versus in 64-element batches — the headline number for
+// vectorized DI execution. ns/op is ns/element in both modes.
 func BenchmarkChainScalarVsBatch(b *testing.B) {
 	const batchN = 64
 
 	b.Run("filter-map-windowagg/scalar", func(b *testing.B) {
 		head := mkAggChain()
+		one := make([]stream.Element, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			head.Process(0, stream.Element{TS: int64(i) * 1000, Key: int64(i & 63), Val: 1})
+			one[0] = stream.Element{TS: int64(i) * 1000, Key: int64(i & 63), Val: 1}
+			head.ProcessBatch(0, one)
 		}
 	})
 	b.Run("filter-map-windowagg/batch64", func(b *testing.B) {
@@ -65,13 +67,14 @@ func BenchmarkChainScalarVsBatch(b *testing.B) {
 	// ports).
 	b.Run("filter-shj/scalar", func(b *testing.B) {
 		head, j := mkJoinChain()
+		one := make([]stream.Element, 1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e := stream.Element{TS: int64(i) * 1000, Key: int64(i & 255), Val: 1}
+			one[0] = stream.Element{TS: int64(i) * 1000, Key: int64(i & 255), Val: 1}
 			if (i/batchN)&1 == 0 {
-				head.Process(0, e)
+				head.ProcessBatch(0, one)
 			} else {
-				j.Process(1, e)
+				j.ProcessBatch(1, one)
 			}
 		}
 	})
@@ -109,15 +112,18 @@ func BenchmarkWindowAggExpiry(b *testing.B) {
 			a := NewWindowAgg("a", AggSum, int64(2*groups*dt), func(e stream.Element) int64 { return e.Key })
 			a.Subscribe(NewNull(1), 0)
 			var ts int64
+			one := make([]stream.Element, 1)
 			for i := 0; i < 2*groups; i++ { // reach steady state before timing
 				ts += dt
-				a.Process(0, stream.Element{TS: ts, Key: int64(i % groups), Val: 1})
+				one[0] = stream.Element{TS: ts, Key: int64(i % groups), Val: 1}
+				a.ProcessBatch(0, one)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ts += dt
-				a.Process(0, stream.Element{TS: ts, Key: int64(i % groups), Val: 1})
+				one[0] = stream.Element{TS: ts, Key: int64(i % groups), Val: 1}
+				a.ProcessBatch(0, one)
 			}
 		})
 	}

@@ -10,17 +10,25 @@ import (
 	"github.com/dsms/hmts/internal/xrand"
 )
 
-// The batch/scalar equivalence harness: every operator is driven twice with
-// an identical element sequence — once element-by-element through Process,
-// once through ProcessBatch with randomized batch sizes (batches never span
-// ports, matching the BatchSink contract) and occasional scalar calls mixed
-// in — and must produce byte-identical outputs on every downstream edge,
-// identical Done propagation, and identical In/Out stats counters.
+// The batch-boundary invariance harness: every operator is driven twice
+// with an identical element sequence — once as one-element batches (the
+// "scalar" reference run: one element per call), once with the same
+// elements cut into batches of random size (batches never span ports,
+// matching the Sink contract) — and must produce identical outputs on every
+// downstream edge, identical Done propagation, and identical In/Out stats
+// counters. The batched run also checks that no operator mutates the batch
+// it was handed. make race runs this package under the race detector.
 
 // portedElem is one input event: which port it arrives on and the element.
 type portedElem struct {
 	port int
 	e    stream.Element
+}
+
+// feed delivers one element to s on port as a one-element batch. It is the
+// single way tests in this package hand over an individual element.
+func feed(s Sink, port int, e stream.Element) {
+	s.ProcessBatch(port, []stream.Element{e})
 }
 
 // captureSink records everything delivered to it, per input port.
@@ -29,8 +37,8 @@ type captureSink struct {
 	dones int
 }
 
-func (c *captureSink) Process(_ int, e stream.Element) { c.got = append(c.got, e) }
-func (c *captureSink) Done(int)                        { c.dones++ }
+func (c *captureSink) ProcessBatch(_ int, es []stream.Element) { c.got = append(c.got, es...) }
+func (c *captureSink) Done(int)                                { c.dones++ }
 
 // genSeq produces n events with nondecreasing event time over the given
 // port count. disorder adds bounded timestamp jitter (for Reorder).
@@ -54,18 +62,19 @@ func genSeq(rng *xrand.Rand, n, ports int, disorder bool) []portedElem {
 	return seq
 }
 
-// driveScalar feeds every event through Process in order.
-func driveScalar(s Sink, seq []portedElem) {
+// driveOnes feeds every event in order as a one-element batch.
+func driveOnes(s Sink, seq []portedElem) {
 	for _, pe := range seq {
-		s.Process(pe.port, pe.e)
+		feed(s, pe.port, pe.e)
 	}
 }
 
-// driveBatched feeds the same events through ProcessBatch: maximal
-// same-port runs are split at random boundaries into batches of 1..maxB,
-// and size-1 batches sometimes degrade to a scalar Process call, so the
-// mixed path is exercised too.
-func driveBatched(bs BatchSink, seq []portedElem, rng *xrand.Rand, maxB int) {
+// driveBatched feeds the same events in batches: maximal same-port runs
+// are split at random boundaries into batches of 1..maxB. The batch buffer
+// is reused across calls, as the engine's queues and sources reuse theirs,
+// and is checked unchanged after every call.
+func driveBatched(t *testing.T, s Sink, seq []portedElem, rng *xrand.Rand, maxB int) {
+	t.Helper()
 	buf := make([]stream.Element, 0, maxB)
 	for i := 0; i < len(seq); {
 		j := i + 1
@@ -73,21 +82,22 @@ func driveBatched(bs BatchSink, seq []portedElem, rng *xrand.Rand, maxB int) {
 		for j < len(seq) && j < limit && seq[j].port == seq[i].port {
 			j++
 		}
-		if j-i == 1 && rng.Int64n(3) == 0 {
-			bs.Process(seq[i].port, seq[i].e)
-		} else {
-			buf = buf[:0]
-			for _, pe := range seq[i:j] {
-				buf = append(buf, pe.e)
+		buf = buf[:0]
+		for _, pe := range seq[i:j] {
+			buf = append(buf, pe.e)
+		}
+		s.ProcessBatch(seq[i].port, buf)
+		for k, pe := range seq[i:j] {
+			if !reflect.DeepEqual(buf[k], pe.e) {
+				t.Fatalf("batch element %d mutated by the callee: %v, sent %v", i+k, buf[k], pe.e)
 			}
-			bs.ProcessBatch(seq[i].port, buf)
 		}
 		i = j
 	}
 }
 
-// equivCase builds one operator instance per invocation so the scalar and
-// batch runs start from identical state.
+// equivCase builds one operator instance per invocation so the
+// one-element and random-batch runs start from identical state.
 type equivCase struct {
 	name     string
 	ports    int
@@ -143,12 +153,12 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				sop := tc.mk()
 				scap := &captureSink{}
 				sop.Subscribe(scap, 0)
-				driveScalar(sop, seq)
+				driveOnes(sop, seq)
 
-				bop := tc.mk().(BatchSink)
+				bop := tc.mk()
 				bcap := &captureSink{}
-				bop.(Operator).Subscribe(bcap, 0)
-				driveBatched(bop, seq, xrand.New(seed+100), 33)
+				bop.Subscribe(bcap, 0)
+				driveBatched(t, bop, seq, xrand.New(seed+100), 33)
 
 				for p := 0; p < tc.ports; p++ {
 					sop.Done(p)
@@ -156,18 +166,18 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				}
 
 				if !reflect.DeepEqual(scap.got, bcap.got) {
-					t.Fatalf("seed %d: outputs diverge: scalar %d elements, batch %d\nscalar: %v\nbatch:  %v",
+					t.Fatalf("seed %d: outputs diverge: one-element %d elements, batch %d\nones:  %v\nbatch: %v",
 						seed, len(scap.got), len(bcap.got), trunc(scap.got), trunc(bcap.got))
 				}
 				if scap.dones != 1 || bcap.dones != 1 {
-					t.Fatalf("seed %d: Done propagation diverges: scalar %d, batch %d", seed, scap.dones, bcap.dones)
+					t.Fatalf("seed %d: Done propagation diverges: one-element %d, batch %d", seed, scap.dones, bcap.dones)
 				}
-				so, bo := sop.Stats(), bop.(Operator).Stats()
+				so, bo := sop.Stats(), bop.Stats()
 				if so.In() != bo.In() || so.In() != uint64(len(seq)) {
-					t.Fatalf("seed %d: In counters diverge: scalar %d, batch %d, want %d", seed, so.In(), bo.In(), len(seq))
+					t.Fatalf("seed %d: In counters diverge: one-element %d, batch %d, want %d", seed, so.In(), bo.In(), len(seq))
 				}
 				if so.Out() != bo.Out() || so.Out() != uint64(len(scap.got)) {
-					t.Fatalf("seed %d: Out counters diverge: scalar %d, batch %d, want %d", seed, so.Out(), bo.Out(), len(scap.got))
+					t.Fatalf("seed %d: Out counters diverge: one-element %d, batch %d, want %d", seed, so.Out(), bo.Out(), len(scap.got))
 				}
 			}
 		})
@@ -204,14 +214,14 @@ func TestBatchScalarEquivalenceSwitch(t *testing.T) {
 				return s, caps
 			}
 			ss, scaps := mk()
-			driveScalar(ss, seq)
+			driveOnes(ss, seq)
 			bs, bcaps := mk()
-			driveBatched(bs, seq, xrand.New(seed+100), 33)
+			driveBatched(t, bs, seq, xrand.New(seed+100), 33)
 			ss.Done(0)
 			bs.Done(0)
 			for i := range scaps {
 				if !reflect.DeepEqual(scaps[i].got, bcaps[i].got) {
-					t.Fatalf("routeAll=%v seed %d: branch %d diverges: scalar %d elements, batch %d",
+					t.Fatalf("routeAll=%v seed %d: branch %d diverges: one-element %d elements, batch %d",
 						routeAll, seed, i, len(scaps[i].got), len(bcaps[i].got))
 				}
 				if scaps[i].dones != 1 || bcaps[i].dones != 1 {
@@ -226,8 +236,8 @@ func TestBatchScalarEquivalenceSwitch(t *testing.T) {
 }
 
 // TestBatchEquivalenceThroughChain drives a fused DI chain end to end —
-// batches entering the head must yield the same sink sequence as scalar
-// elements, including across the batch-capable fan-out hops.
+// random batches entering the head must yield the same sink sequence as
+// one-element batches, including across a two-edge fan-out at the tail.
 func TestBatchEquivalenceThroughChain(t *testing.T) {
 	build := func() (head *Filter, cap1, cap2 *captureSink) {
 		head = NewFilter("f", func(e stream.Element) bool { return e.Key%5 != 0 })
@@ -236,20 +246,20 @@ func TestBatchEquivalenceThroughChain(t *testing.T) {
 		head.Subscribe(m, 0)
 		m.Subscribe(a, 0)
 		cap1, cap2 = &captureSink{}, &captureSink{}
-		a.Subscribe(cap1, 0) // batch-incapable edge
+		a.Subscribe(cap1, 0)
 		a.Subscribe(cap2, 0) // sibling edge: must see the identical stream
 		return head, cap1, cap2
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		seq := genSeq(xrand.New(seed), 500, 1, false)
 		sh, sc1, sc2 := build()
-		driveScalar(sh, seq)
+		driveOnes(sh, seq)
 		sh.Done(0)
 		bh, bc1, bc2 := build()
-		driveBatched(bh, seq, xrand.New(seed+100), 64)
+		driveBatched(t, bh, seq, xrand.New(seed+100), 64)
 		bh.Done(0)
 		if !reflect.DeepEqual(sc1.got, bc1.got) || !reflect.DeepEqual(sc2.got, bc2.got) {
-			t.Fatalf("seed %d: chain outputs diverge (scalar %d, batch %d)", seed, len(sc1.got), len(bc1.got))
+			t.Fatalf("seed %d: chain outputs diverge (one-element %d, batch %d)", seed, len(sc1.got), len(bc1.got))
 		}
 		if !reflect.DeepEqual(bc1.got, bc2.got) {
 			t.Fatalf("seed %d: sibling fan-out edges diverge", seed)
@@ -289,5 +299,34 @@ func TestBatchMeteringFeedsEstimators(t *testing.T) {
 	}
 	if st.BusyNS() <= 0 {
 		t.Fatal("BusyNS must accumulate on the batch path")
+	}
+}
+
+// TestMeteringSamplesEvery16Elements pins the single sampling rule: the
+// batch that carries the arrival count past meterEvery elements is timed.
+// One-element batches are timed 1 in 16; a batch of meterEvery or more
+// elements is timed every time.
+func TestMeteringSamplesEvery16Elements(t *testing.T) {
+	var b Base
+	b.InitBase("m", 1)
+	one := []stream.Element{{}}
+	for i := 1; i <= 3*meterEvery; i++ {
+		timed := b.BeginWorkBatch(one) >= 0
+		if want := i%meterEvery == 0; timed != want {
+			t.Fatalf("one-element batch %d: timed=%v, want %v", i, timed, want)
+		}
+	}
+	big := make([]stream.Element, meterEvery)
+	for i := 0; i < 4; i++ {
+		if b.BeginWorkBatch(big) < 0 {
+			t.Fatalf("batch of %d elements #%d not timed", len(big), i)
+		}
+	}
+	half := big[:meterEvery/2]
+	for i := 1; i <= 6; i++ {
+		timed := b.BeginWorkBatch(half) >= 0
+		if want := i%2 == 0; timed != want {
+			t.Fatalf("half batch %d: timed=%v, want %v", i, timed, want)
+		}
 	}
 }

@@ -11,7 +11,7 @@ func TestCountWindowSum(t *testing.T) {
 	c := NewCollector(1)
 	a.Subscribe(c, 0)
 	for i := 1; i <= 6; i++ {
-		a.Process(0, stream.Element{TS: int64(i), Val: float64(i)})
+		feed(a, 0, stream.Element{TS: int64(i), Val: float64(i)})
 	}
 	a.Done(0)
 	c.Wait()
@@ -27,15 +27,15 @@ func TestCountWindowMinPerGroup(t *testing.T) {
 	a := NewCountWindowAgg("a", AggMin, 2, func(e stream.Element) int64 { return e.Key })
 	c := NewCollector(1)
 	a.Subscribe(c, 0)
-	feed := []struct {
+	inputs := []struct {
 		key int64
 		val float64
 	}{
 		{1, 5}, {1, 3}, {1, 7}, // mins: 5, 3, 3 (window {3,7})
 		{2, 9}, {2, 1}, // mins: 9, 1
 	}
-	for i, f := range feed {
-		a.Process(0, stream.Element{TS: int64(i), Key: f.key, Val: f.val})
+	for i, f := range inputs {
+		feed(a, 0, stream.Element{TS: int64(i), Key: f.key, Val: f.val})
 	}
 	a.Done(0)
 	c.Wait()

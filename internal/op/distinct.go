@@ -31,7 +31,7 @@ func NewDistinct(name string, window int64) *Distinct {
 func (d *Distinct) StateLen() int { return len(d.seen) }
 
 // step expires due entries, updates the suppression state for e and
-// reports whether e passes. Shared by the scalar and batch paths.
+// reports whether e passes.
 func (d *Distinct) step(e stream.Element) bool {
 	deadline := e.TS - d.window
 	for !d.order.empty() && d.order.front().TS <= deadline {
@@ -68,17 +68,7 @@ func (d *Distinct) ImportShardElement(_ int, e stream.Element) {
 	d.heldPub.Store(int64(d.order.len()))
 }
 
-// Process implements Sink.
-func (d *Distinct) Process(_ int, e stream.Element) {
-	t := d.BeginWork(e)
-	if d.step(e) {
-		d.Emit(e)
-	}
-	d.heldPub.Store(int64(d.order.len()))
-	d.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. Expiry remains per element (whether a
+// ProcessBatch implements Sink. Expiry remains per element (whether a
 // duplicate is suppressed depends on it), but stats and the downstream
 // dispatch are batched.
 func (d *Distinct) ProcessBatch(_ int, es []stream.Element) {

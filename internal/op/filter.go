@@ -37,16 +37,7 @@ func NewKeyModFilter(name string, m, limit int64) *Filter {
 	})
 }
 
-// Process implements Sink.
-func (f *Filter) Process(_ int, e stream.Element) {
-	t := f.BeginWork(e)
-	if f.pred(e) {
-		f.Emit(e)
-	}
-	f.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: the batch is filtered into the
+// ProcessBatch implements Sink: the batch is filtered into the
 // operator's output buffer and forwarded with one stats update and one
 // fan-out dispatch.
 func (f *Filter) ProcessBatch(_ int, es []stream.Element) {

@@ -98,7 +98,7 @@ func (s *hashSide) expire(deadline int64) {
 func (j *SHJ) WindowLen() int { return j.sides[0].order.len() + j.sides[1].order.len() }
 
 // probe inserts e into its own side, probes the opposite side, and appends
-// every match to out. Shared by the scalar and batch paths.
+// every match to out.
 func (j *SHJ) probe(port int, e stream.Element, out []stream.Element) []stream.Element {
 	own, other := &j.sides[port], &j.sides[1-port]
 	own.insert(e)
@@ -141,7 +141,7 @@ func (j *SHJ) ExportShardState() []PortedElement {
 func (j *SHJ) RetainedRows() int { return int(j.heldPub.Load()) }
 
 // ImportShardElement implements ShardState: re-insert a retained element
-// into its side without probing, mirroring the scalar path's expiry.
+// into its side without probing, expiring with its own deadline.
 func (j *SHJ) ImportShardElement(port int, e stream.Element) {
 	deadline := e.TS - j.window
 	j.sides[0].expire(deadline)
@@ -150,22 +150,7 @@ func (j *SHJ) ImportShardElement(port int, e stream.Element) {
 	j.heldPub.Store(int64(j.WindowLen()))
 }
 
-// Process implements Sink.
-func (j *SHJ) Process(port int, e stream.Element) {
-	t := j.BeginWork(e)
-	deadline := e.TS - j.window
-	j.sides[0].expire(deadline)
-	j.sides[1].expire(deadline)
-	out := j.probe(port, e, j.scratch(1))
-	for _, r := range out {
-		j.Emit(r)
-	}
-	j.obuf = out[:0]
-	j.heldPub.Store(int64(j.WindowLen()))
-	j.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. Expiry is hoisted out of the
+// ProcessBatch implements Sink. Expiry is hoisted out of the
 // per-element loop: one pass per side with the deadline of the batch's
 // first element. That cannot change outputs — event time is nondecreasing,
 // so anything expirable at the first element is out of window for every
@@ -240,7 +225,6 @@ func (j *SNJ) expire(deadline int64) {
 }
 
 // scan inserts e and scans the opposite window, appending matches to out.
-// Shared by the scalar and batch paths.
 func (j *SNJ) scan(port int, e stream.Element, out []stream.Element) []stream.Element {
 	j.wins[port].push(e)
 	other := &j.wins[1-port]
@@ -260,19 +244,7 @@ func (j *SNJ) scan(port int, e stream.Element, out []stream.Element) []stream.El
 	return out
 }
 
-// Process implements Sink.
-func (j *SNJ) Process(port int, e stream.Element) {
-	t := j.BeginWork(e)
-	j.expire(e.TS - j.window)
-	out := j.scan(port, e, j.scratch(1))
-	for _, r := range out {
-		j.Emit(r)
-	}
-	j.obuf = out[:0]
-	j.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. As in SHJ, expiry is hoisted to one
+// ProcessBatch implements Sink. As in SHJ, expiry is hoisted to one
 // pass with the first element's deadline — output-equivalent because every
 // match is re-checked against the event-time window predicate.
 func (j *SNJ) ProcessBatch(port int, es []stream.Element) {

@@ -28,14 +28,7 @@ func NewProject(name string) *Map {
 	})
 }
 
-// Process implements Sink.
-func (m *Map) Process(_ int, e stream.Element) {
-	t := m.BeginWork(e)
-	m.Emit(m.fn(e))
-	m.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: the transformation runs out-of-place
+// ProcessBatch implements Sink: the transformation runs out-of-place
 // into the output buffer (the input slice is shared with sibling fan-out
 // edges and must not be mutated).
 func (m *Map) ProcessBatch(_ int, es []stream.Element) {

@@ -49,8 +49,7 @@ func (j *MJoin) WindowLen() int {
 }
 
 // arrive inserts e into side port, probes the other sides, and appends one
-// output per complete combination to out. Shared by the scalar and batch
-// paths.
+// output per complete combination to out.
 func (j *MJoin) arrive(port int, e stream.Element, out []stream.Element) []stream.Element {
 	j.sides[port].insert(e)
 	// Probe the other sides in port order, building combinations
@@ -85,22 +84,7 @@ func (j *MJoin) probe(i, skip int, e stream.Element, out []stream.Element) []str
 	return out
 }
 
-// Process implements Sink.
-func (j *MJoin) Process(port int, e stream.Element) {
-	t := j.BeginWork(e)
-	deadline := e.TS - j.window
-	for i := range j.sides {
-		j.sides[i].expire(deadline)
-	}
-	out := j.arrive(port, e, j.scratch(1))
-	for _, r := range out {
-		j.Emit(r)
-	}
-	j.obuf = out[:0]
-	j.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. As in SHJ, expiry is hoisted to one
+// ProcessBatch implements Sink. As in SHJ, expiry is hoisted to one
 // pass per side with the first element's deadline — output-equivalent
 // because combinations are gated by the event-time window predicate.
 func (j *MJoin) ProcessBatch(port int, es []stream.Element) {

@@ -1,14 +1,14 @@
 // Package op implements the push-based query operators of the DSMS.
 //
-// An operator receives elements via Process and — this is the paper's
+// An operator receives elements via ProcessBatch and — this is the paper's
 // direct interoperability (DI, §2.4) — forwards results by directly calling
-// Process on its subscribed successors, so one arriving element triggers a
-// depth-first traversal of the downstream subgraph. No scheduler is needed
-// where DI is used; decoupling queues (package queue) end DI at chosen
-// edges and hand control to a scheduler.
+// ProcessBatch on its subscribed successors, so one arriving batch triggers
+// a depth-first traversal of the downstream subgraph. No scheduler is
+// needed where DI is used; decoupling queues (package queue) end DI at
+// chosen edges and hand control to a scheduler.
 //
 // Concurrency contract: at any instant, at most one goroutine drives a
-// given operator's Process/Done methods. The engine guarantees this by
+// given operator's ProcessBatch/Done methods. The engine guarantees this by
 // construction — an operator belongs to exactly one partition and each
 // partition is executed by one goroutine at a time. Statistics are atomic
 // so samplers and planners may read them concurrently.
@@ -21,30 +21,22 @@ import (
 	"github.com/dsms/hmts/internal/stream"
 )
 
-// Sink consumes a stream. Process delivers one element to the given input
-// port; Done signals that no more elements will arrive on that port
-// (resolving the end-of-stream ambiguity discussed in paper §2.2 out of
-// band rather than with sentinel elements).
-type Sink interface {
-	Process(port int, e stream.Element)
-	Done(port int)
-}
-
-// BatchSink is optionally implemented by sinks that can accept a burst of
-// elements in one call, amortizing per-element costs: the decoupling queue
-// enqueues a burst under a single lock acquisition, and every operator in
-// this package transforms the batch with one stats update and one fan-out
-// dispatch (Base.EmitBatch) instead of per-element bookkeeping.
+// Sink consumes a stream. ProcessBatch delivers a batch of elements to the
+// given input port; Done signals that no more elements will arrive on that
+// port (resolving the end-of-stream ambiguity discussed in paper §2.2 out
+// of band rather than with sentinel elements). A single element travels as
+// a one-element batch.
 //
-// Contract: ProcessBatch(port, es) is observably equivalent to calling
-// Process(port, e) for each element in order — same outputs to each
-// downstream edge in the same per-edge order, same end state. The callee
-// must neither retain the slice after returning nor mutate it: the same
-// slice is handed to every subscriber of a fan-out and then reused by the
-// caller. Batches never span input ports.
-type BatchSink interface {
-	Sink
+// Contract: how a stream is cut into batches is invisible downstream —
+// delivering the same elements in one-element batches or in any other
+// split yields the same outputs on each downstream edge in the same
+// per-edge order, the same Done propagation and the same In/Out counts.
+// The callee must neither retain the slice after returning nor mutate it:
+// the same slice is handed to every subscriber of a fan-out and then
+// reused by the caller. Batches never span input ports.
+type Sink interface {
 	ProcessBatch(port int, es []stream.Element)
+	Done(port int)
 }
 
 // Operator is a query-graph node: a Sink that forwards derived elements to
@@ -56,7 +48,7 @@ type Operator interface {
 	// Stats returns the operator's runtime statistics.
 	Stats() *stats.OpStats
 	// Subscribe attaches s as a downstream consumer; elements are
-	// delivered to s.Process(port, ...).
+	// delivered to s.ProcessBatch(port, ...).
 	Subscribe(s Sink, port int)
 	// Unsubscribe detaches a previously subscribed (s, port) edge. It is
 	// how the engine splices queues in and out of the graph at runtime.
@@ -80,18 +72,13 @@ type Source interface {
 	Name() string
 }
 
-// meterEvery controls sampled cost metering: one element in meterEvery has
-// its processing time measured (and recorded as representative). Sampling
-// keeps the overhead negligible for sub-microsecond operators while still
-// converging on c(v) quickly.
+// meterEvery controls sampled cost metering: the batch that carries an
+// operator's arrival count past meterEvery elements is timed and recorded
+// as its amortized per-element cost, and the count restarts. A stream of
+// one-element batches is thus timed 1 batch in 16, and a batch of 16 or
+// more elements every time — the two clock reads amortize over at least
+// meterEvery elements either way, while c(v) still converges quickly.
 const meterEvery = 16
-
-// meterBatchEvery is the batch-path sampling interval: one batch in
-// meterBatchEvery is timed end to end and recorded as its amortized
-// per-element cost. A batch is a far larger sample than one element, so a
-// denser interval converges c(v) at least as fast while the two clock
-// reads amortize over the whole batch.
-const meterBatchEvery = 4
 
 var epoch = time.Now()
 

@@ -9,7 +9,7 @@ import (
 // push feeds elements into a sink on port 0 and closes it.
 func push(s Sink, els ...stream.Element) {
 	for _, e := range els {
-		s.Process(0, e)
+		feed(s, 0, e)
 	}
 	s.Done(0)
 }
@@ -103,7 +103,7 @@ func TestUnionMergesAndClosesOnce(t *testing.T) {
 	u.Subscribe(c, 0)
 	for port := 0; port < 3; port++ {
 		for i := 0; i < 10; i++ {
-			u.Process(port, stream.Element{Key: int64(port)})
+			feed(u, port, stream.Element{Key: int64(port)})
 		}
 	}
 	u.Done(0)
@@ -284,8 +284,8 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestCollectorMultiplePorts(t *testing.T) {
 	c := NewCollector(2)
-	c.Process(0, stream.Element{})
-	c.Process(1, stream.Element{})
+	feed(c, 0, stream.Element{})
+	feed(c, 1, stream.Element{})
 	c.Done(0)
 	select {
 	case <-waitCh(c):
@@ -303,7 +303,7 @@ func TestCounterRecordsSeries(t *testing.T) {
 	c := NewCounter(1)
 	// series recording covered in exp tests; here just counting.
 	for i := 0; i < 7; i++ {
-		c.Process(0, stream.Element{})
+		feed(c, 0, stream.Element{})
 	}
 	c.Done(0)
 	c.Wait()
@@ -315,8 +315,8 @@ func TestCounterRecordsSeries(t *testing.T) {
 func TestLatencySink(t *testing.T) {
 	now := int64(1000)
 	l := NewLatencySink(1, 100, 1, func() int64 { return now })
-	l.Process(0, stream.Element{TS: 900})
-	l.Process(0, stream.Element{TS: 800})
+	feed(l, 0, stream.Element{TS: 900})
+	feed(l, 0, stream.Element{TS: 800})
 	l.Done(0)
 	l.Wait()
 	if l.Count() != 2 {
@@ -329,7 +329,7 @@ func TestLatencySink(t *testing.T) {
 
 func TestNullSink(t *testing.T) {
 	n := NewNull(1)
-	n.Process(0, stream.Element{})
+	feed(n, 0, stream.Element{})
 	n.Done(0)
 	n.Wait()
 }

@@ -75,7 +75,7 @@ func runJoin(j Operator, arrivals []arrival) []stream.Element {
 	c := NewCollector(1)
 	j.Subscribe(c, 0)
 	for _, a := range arrivals {
-		j.Process(a.port, a.e)
+		feed(j, a.port, a.e)
 	}
 	j.Done(0)
 	j.Done(1)
@@ -128,10 +128,10 @@ func TestSNJThetaJoin(t *testing.T) {
 	j := NewSNJ("band", 1000, pred, nil)
 	c := NewCollector(1)
 	j.Subscribe(c, 0)
-	j.Process(0, stream.Element{TS: 1, Key: 1, Val: 5})
-	j.Process(1, stream.Element{TS: 2, Key: 2, Val: 6}) // match
-	j.Process(1, stream.Element{TS: 3, Key: 3, Val: 9}) // no match
-	j.Process(0, stream.Element{TS: 4, Key: 4, Val: 8}) // matches the 9
+	feed(j, 0, stream.Element{TS: 1, Key: 1, Val: 5})
+	feed(j, 1, stream.Element{TS: 2, Key: 2, Val: 6}) // match
+	feed(j, 1, stream.Element{TS: 3, Key: 3, Val: 9}) // no match
+	feed(j, 0, stream.Element{TS: 4, Key: 4, Val: 8}) // matches the 9
 	j.Done(0)
 	j.Done(1)
 	c.Wait()
@@ -144,13 +144,13 @@ func TestJoinWindowExpiry(t *testing.T) {
 	j := NewSHJ("j", 100, nil)
 	c := NewCollector(1)
 	j.Subscribe(c, 0)
-	j.Process(0, stream.Element{TS: 0, Key: 1})
-	j.Process(1, stream.Element{TS: 50, Key: 1})  // within window -> match
-	j.Process(1, stream.Element{TS: 200, Key: 1}) // expires both TS=0 and TS=50
+	feed(j, 0, stream.Element{TS: 0, Key: 1})
+	feed(j, 1, stream.Element{TS: 50, Key: 1})  // within window -> match
+	feed(j, 1, stream.Element{TS: 200, Key: 1}) // expires both TS=0 and TS=50
 	if got := j.WindowLen(); got != 1 {
 		t.Fatalf("window holds %d after expiry, want 1", got)
 	}
-	j.Process(0, stream.Element{TS: 210, Key: 1}) // matches only TS=200
+	feed(j, 0, stream.Element{TS: 210, Key: 1}) // matches only TS=200
 	j.Done(0)
 	j.Done(1)
 	c.Wait()
@@ -211,13 +211,13 @@ func TestMJoinThreeWay(t *testing.T) {
 	c := NewCollector(1)
 	j.Subscribe(c, 0)
 	// Two complete combinations on key 1 (two choices on side 1).
-	j.Process(0, stream.Element{TS: 1, Key: 1, Val: 1})
-	j.Process(1, stream.Element{TS: 2, Key: 1, Val: 2})
-	j.Process(1, stream.Element{TS: 3, Key: 1, Val: 4})
-	j.Process(2, stream.Element{TS: 4, Key: 1, Val: 8}) // completes both
+	feed(j, 0, stream.Element{TS: 1, Key: 1, Val: 1})
+	feed(j, 1, stream.Element{TS: 2, Key: 1, Val: 2})
+	feed(j, 1, stream.Element{TS: 3, Key: 1, Val: 4})
+	feed(j, 2, stream.Element{TS: 4, Key: 1, Val: 8}) // completes both
 	// Incomplete on key 2.
-	j.Process(0, stream.Element{TS: 5, Key: 2, Val: 1})
-	j.Process(2, stream.Element{TS: 6, Key: 2, Val: 1})
+	feed(j, 0, stream.Element{TS: 5, Key: 2, Val: 1})
+	feed(j, 2, stream.Element{TS: 6, Key: 2, Val: 1})
 	for port := 0; port < 3; port++ {
 		j.Done(port)
 	}
@@ -288,7 +288,7 @@ func TestWindowAggAgainstReference(t *testing.T) {
 				els = append(els, stream.Element{TS: ts, Val: float64(rng.Intn(100))})
 			}
 			for _, e := range els {
-				a.Process(0, e)
+				feed(a, 0, e)
 			}
 			a.Done(0)
 			c.Wait()
@@ -317,7 +317,7 @@ func TestWindowAggGroups(t *testing.T) {
 	c := NewCollector(1)
 	a.Subscribe(c, 0)
 	for i := 0; i < 20; i++ {
-		a.Process(0, stream.Element{TS: int64(i), Key: int64(i % 2), Val: 1})
+		feed(a, 0, stream.Element{TS: int64(i), Key: int64(i % 2), Val: 1})
 	}
 	if a.GroupCount() != 2 {
 		t.Fatalf("groups %d", a.GroupCount())
@@ -337,9 +337,9 @@ func TestWindowAggGroupEviction(t *testing.T) {
 	a := NewWindowAgg("a", AggCount, 10, func(e stream.Element) int64 { return e.Key })
 	c := NewCollector(1)
 	a.Subscribe(c, 0)
-	a.Process(0, stream.Element{TS: 0, Key: 1, Val: 1})
-	a.Process(0, stream.Element{TS: 1, Key: 2, Val: 1})
-	a.Process(0, stream.Element{TS: 100, Key: 3, Val: 1}) // evicts groups 1 and 2
+	feed(a, 0, stream.Element{TS: 0, Key: 1, Val: 1})
+	feed(a, 0, stream.Element{TS: 1, Key: 2, Val: 1})
+	feed(a, 0, stream.Element{TS: 100, Key: 3, Val: 1}) // evicts groups 1 and 2
 	if a.GroupCount() != 1 {
 		t.Fatalf("stale groups retained: %d", a.GroupCount())
 	}
@@ -358,7 +358,7 @@ func TestWindowAggMinMaxProperty(t *testing.T) {
 			els := make([]stream.Element, len(vals))
 			for i, v := range vals {
 				els[i] = stream.Element{TS: int64(i) * 7, Val: float64(v % 32)}
-				a.Process(0, els[i])
+				feed(a, 0, els[i])
 			}
 			a.Done(0)
 			c.Wait()
@@ -388,11 +388,11 @@ func TestDistinctSuppressesWithinWindow(t *testing.T) {
 	d := NewDistinct("d", 100)
 	c := NewCollector(1)
 	d.Subscribe(c, 0)
-	d.Process(0, stream.Element{TS: 0, Key: 1})
-	d.Process(0, stream.Element{TS: 10, Key: 1})  // dup
-	d.Process(0, stream.Element{TS: 50, Key: 2})  // new
-	d.Process(0, stream.Element{TS: 90, Key: 1})  // still suppressed (refreshed at 10)
-	d.Process(0, stream.Element{TS: 300, Key: 1}) // window passed -> emit
+	feed(d, 0, stream.Element{TS: 0, Key: 1})
+	feed(d, 0, stream.Element{TS: 10, Key: 1})  // dup
+	feed(d, 0, stream.Element{TS: 50, Key: 2})  // new
+	feed(d, 0, stream.Element{TS: 90, Key: 1})  // still suppressed (refreshed at 10)
+	feed(d, 0, stream.Element{TS: 300, Key: 1}) // window passed -> emit
 	d.Done(0)
 	c.Wait()
 	if c.Len() != 3 {
@@ -408,7 +408,7 @@ func TestDistinctStateBounded(t *testing.T) {
 	c := NewCollector(1)
 	d.Subscribe(c, 0)
 	for i := 0; i < 10_000; i++ {
-		d.Process(0, stream.Element{TS: int64(i) * 100, Key: int64(i)})
+		feed(d, 0, stream.Element{TS: int64(i) * 100, Key: int64(i)})
 	}
 	if d.StateLen() > 2 {
 		t.Fatalf("distinct state grew to %d despite expiry", d.StateLen())

@@ -45,7 +45,7 @@ func (r *Reorder) Buffered() int { return len(r.buf) }
 func (r *Reorder) Late() uint64 { return r.late }
 
 // step buffers or releases one element, appending everything released to
-// out. Shared by the scalar and batch paths.
+// out.
 func (r *Reorder) step(e stream.Element, out []stream.Element) []stream.Element {
 	if e.TS > r.maxTS {
 		r.maxTS = e.TS
@@ -64,20 +64,8 @@ func (r *Reorder) step(e stream.Element, out []stream.Element) []stream.Element 
 	return out
 }
 
-// Process implements Sink.
-func (r *Reorder) Process(_ int, e stream.Element) {
-	t := r.BeginWork(e)
-	out := r.step(e, r.scratch(1))
-	for _, rel := range out {
-		r.Emit(rel)
-	}
-	r.obuf = out[:0]
-	r.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: releases across the batch accumulate
-// and leave in one fan-out dispatch, in the same release order as the
-// scalar path.
+// ProcessBatch implements Sink: releases across the batch accumulate
+// and leave in one fan-out dispatch, in release order.
 func (r *Reorder) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return
@@ -96,9 +84,11 @@ func (r *Reorder) Done(port int) {
 	if !r.MarkDone(port) {
 		return
 	}
+	out := r.scratch(len(r.buf))
 	for len(r.buf) > 0 {
-		r.Emit(heap.Pop(&r.buf).(stream.Element))
+		out = append(out, heap.Pop(&r.buf).(stream.Element))
 	}
+	r.flush(out)
 	r.Close()
 }
 

@@ -38,16 +38,16 @@ func TestSHJExpiryReleasesAux(t *testing.T) {
 		payload := &[1 << 16]byte{}
 		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(freed) })
 
-		j.Process(0, stream.Element{TS: 0, Key: 1, Val: 1, Aux: payload})
+		feed(j, 0, stream.Element{TS: 0, Key: 1, Val: 1, Aux: payload})
 		payload = nil
-		j.Process(0, stream.Element{TS: 150, Key: 1, Val: 2}) // same bucket, survives
+		feed(j, 0, stream.Element{TS: 150, Key: 1, Val: 2}) // same bucket, survives
 		// Arrival at TS 200 sets the deadline to 100: the payload-carrying
 		// element expires, its bucket-mate does not.
 		probe := []stream.Element{{TS: 200, Key: 2, Val: 3}}
 		if batch {
 			j.ProcessBatch(1, probe)
 		} else {
-			j.Process(1, probe[0])
+			feed(j, 1, probe[0])
 		}
 		if n := j.WindowLen(); n != 2 {
 			t.Fatalf("batch=%v: WindowLen = %d, want 2 (survivor + probe)", batch, n)
@@ -66,9 +66,9 @@ func TestWindowAggExpiryReleasesAux(t *testing.T) {
 	payload := &[1 << 16]byte{}
 	runtime.SetFinalizer(payload, func(*[1 << 16]byte) { close(freed) })
 
-	a.Process(0, stream.Element{TS: 0, Val: 1, Aux: payload})
+	feed(a, 0, stream.Element{TS: 0, Val: 1, Aux: payload})
 	payload = nil
-	a.Process(0, stream.Element{TS: 200, Val: 2}) // expires the first, keeps the group
+	feed(a, 0, stream.Element{TS: 200, Val: 2}) // expires the first, keeps the group
 	if got := a.WindowLen(); got != 1 {
 		t.Fatalf("WindowLen = %d, want 1", got)
 	}

@@ -25,16 +25,7 @@ func NewSample(name string, p float64, seed uint64) *Sample {
 	return s
 }
 
-// Process implements Sink.
-func (s *Sample) Process(_ int, e stream.Element) {
-	t := s.BeginWork(e)
-	if s.rng.Bool(s.p) {
-		s.Emit(e)
-	}
-	s.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink. The PRNG draws in element order, so a
+// ProcessBatch implements Sink. The PRNG draws in element order, so a
 // given input stream yields the same sample whether it arrives element by
 // element or in batches.
 func (s *Sample) ProcessBatch(_ int, es []stream.Element) {

@@ -60,7 +60,7 @@ import (
 
 // ShardProgress is the watermark a shard replica publishes for the
 // downstream Merge: the Seq of the last input element whose outputs have
-// all been emitted. Base updates it in EndWork/EndWorkBatch once enabled.
+// all been emitted. Base updates it in EndWorkBatch once enabled.
 // The padding keeps each replica's hot word on its own cache line.
 type ShardProgress struct {
 	done atomic.Uint64
@@ -184,7 +184,7 @@ func (sp *Split) SubscribeShard(shard, inPort int, sink Sink, port int) {
 	if sp.branches[slot].sink != nil {
 		panic(fmt.Sprintf("op: split %q slot (shard=%d, in=%d) already subscribed", sp.Name(), shard, inPort))
 	}
-	sp.branches[slot] = newEdge(sink, port)
+	sp.branches[slot] = edge{sink: sink, port: port}
 }
 
 // UnsubscribeShard detaches the consumer of a (shard, inPort) slot.
@@ -221,27 +221,13 @@ func (sp *Split) Reset(n int) {
 	}
 }
 
-// Process implements Sink. Order matters: the shard's last-assigned
-// sequence is stored before the element is pushed and before the global
-// clock advances, which is what lets the Merge trust a d_i ≥ a_i
-// comparison (see the protocol comment above).
-func (sp *Split) Process(port int, e stream.Element) {
-	t := sp.BeginWork(e)
-	sp.seq++
-	e.Seq = sp.seq
-	sh := ShardIndex(sp.key(port, e), sp.shards)
-	sp.assigned[sh].v.Store(sp.seq)
-	sp.Stats().RecordOut(1)
-	ed := &sp.branches[sh*sp.Ins()+port]
-	ed.sink.Process(ed.port, e)
-	sp.gseq.Store(sp.seq)
-	sp.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: stamp and bucket the batch per shard,
-// then deliver one sub-batch per shard. Per-shard element order matches the
-// scalar path exactly; the interleaving across shards coarsens to batch
-// granularity, which the downstream Merge undoes anyway.
+// ProcessBatch implements Sink: stamp and bucket the batch per shard,
+// then deliver one sub-batch per shard. Per-shard element order is arrival
+// order; the interleaving across shards coarsens to batch granularity,
+// which the downstream Merge undoes anyway. Order matters: a shard's
+// last-assigned sequence is stored before its sub-batch is pushed, and the
+// global clock advances only after every sub-batch, which is what lets the
+// Merge trust a d_i ≥ a_i comparison (see the protocol comment above).
 func (sp *Split) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {
 		return
@@ -263,13 +249,7 @@ func (sp *Split) ProcessBatch(port int, es []stream.Element) {
 		sp.assigned[sh].v.Store(out[len(out)-1].Seq)
 		sp.Stats().RecordOut(len(out))
 		ed := &sp.branches[sh*ins+port]
-		if ed.batch != nil {
-			ed.batch.ProcessBatch(ed.port, out)
-		} else {
-			for _, e := range out {
-				ed.sink.Process(ed.port, e)
-			}
-		}
+		ed.sink.ProcessBatch(ed.port, out)
 		sp.routed[sh] = out[:0]
 	}
 	sp.gseq.Store(s)
@@ -368,17 +348,7 @@ func (m *Merge) Reset(n int) {
 	m.sizeTo(n)
 }
 
-// Process implements Sink.
-func (m *Merge) Process(port int, e stream.Element) {
-	t := m.BeginWork(e)
-	m.recv[port]++
-	m.lastRecv[port] = e.Seq
-	m.bufs[port].push(e)
-	m.release(false)
-	m.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: buffer the whole batch, then run one
+// ProcessBatch implements Sink: buffer the whole batch, then run one
 // release pass.
 func (m *Merge) ProcessBatch(port int, es []stream.Element) {
 	if len(es) == 0 {

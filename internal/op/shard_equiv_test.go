@@ -12,8 +12,8 @@ import (
 // driven once unsharded and once through a split → n replicas → merge
 // region (directly wired, no queues) with the identical element sequence,
 // and the merged output must be byte-identical for every replica count —
-// the core guarantee of the shard rewrite. Scalar and batched drives are
-// both exercised.
+// the core guarantee of the shard rewrite. One-element and random-size
+// batch drives are both exercised.
 
 // buildRegion wires a shard region of n replicas directly: split branches
 // feed the replicas, replicas feed the merge, frontier counters bound.
@@ -79,7 +79,7 @@ func TestShardCountEquivalence(t *testing.T) {
 				ref := tc.mk(0)
 				rcap := &captureSink{}
 				ref.Subscribe(rcap, 0)
-				driveScalar(ref, seq)
+				driveOnes(ref, seq)
 				for p := 0; p < tc.ports; p++ {
 					ref.Done(p)
 				}
@@ -90,9 +90,9 @@ func TestShardCountEquivalence(t *testing.T) {
 						cap := &captureSink{}
 						mg.Subscribe(cap, 0)
 						if batched {
-							driveBatched(sp, seq, xrand.New(seed+100), 33)
+							driveBatched(t, sp, seq, xrand.New(seed+100), 33)
 						} else {
-							driveScalar(sp, seq)
+							driveOnes(sp, seq)
 						}
 						for p := 0; p < tc.ports; p++ {
 							sp.Done(p)
@@ -135,13 +135,13 @@ func TestShardTopKPartitioned(t *testing.T) {
 				refs[i].Subscribe(rcap, 0)
 			}
 			for _, pe := range seq {
-				refs[ShardIndex(pe.e.Key, n)].Process(0, pe.e)
+				feed(refs[ShardIndex(pe.e.Key, n)], 0, pe.e)
 			}
 
 			sp, mg, _ := buildRegion(n, 1, byKey, func(int) Operator { return NewTopK("t", k, w) })
 			cap := &captureSink{}
 			mg.Subscribe(cap, 0)
-			driveScalar(sp, seq)
+			driveOnes(sp, seq)
 			sp.Done(0)
 			if !reflect.DeepEqual(rcap.got, cap.got) {
 				t.Fatalf("seed %d n=%d: sharded TopK diverges from partitioned reference: %d vs %d elements",
@@ -152,7 +152,7 @@ func TestShardTopKPartitioned(t *testing.T) {
 				g := NewTopK("g", k, w)
 				gcap := &captureSink{}
 				g.Subscribe(gcap, 0)
-				driveScalar(g, seq)
+				driveOnes(g, seq)
 				if !reflect.DeepEqual(gcap.got, cap.got) {
 					t.Fatalf("seed %d: single-shard TopK diverges from unsharded", seed)
 				}
@@ -171,7 +171,7 @@ func TestShardReplicaIndependence(t *testing.T) {
 		func(int) Operator { return NewWindowAgg("a", AggSum, 500, group) })
 	cap := &captureSink{}
 	mg.Subscribe(cap, 0)
-	driveScalar(sp, seq)
+	driveOnes(sp, seq)
 	sp.Done(0)
 
 	var in, out uint64
@@ -203,7 +203,7 @@ func TestMergeSeqZeroedOnRelease(t *testing.T) {
 		func(int) Operator { return NewWindowAgg("a", AggSum, 500, group) })
 	cap := &captureSink{}
 	mg.Subscribe(cap, 0)
-	driveScalar(sp, genSeq(xrand.New(3), 200, 1, false))
+	driveOnes(sp, genSeq(xrand.New(3), 200, 1, false))
 	sp.Done(0)
 	for i, e := range cap.got {
 		if e.Seq != 0 {

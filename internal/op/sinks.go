@@ -28,14 +28,7 @@ func NewCollector(ins int) *Collector {
 	return &Collector{done: make(chan struct{}), ins: ins}
 }
 
-// Process implements Sink.
-func (c *Collector) Process(_ int, e stream.Element) {
-	c.mu.Lock()
-	c.els = append(c.els, e)
-	c.mu.Unlock()
-}
-
-// ProcessBatch implements BatchSink: one lock acquisition per burst.
+// ProcessBatch implements Sink: one lock acquisition per burst.
 func (c *Collector) ProcessBatch(_ int, es []stream.Element) {
 	c.mu.Lock()
 	c.els = append(c.els, es...)
@@ -104,15 +97,7 @@ func (c *Counter) RecordInto(series *stats.Series, now func() int64, every uint6
 	c.series, c.now, c.recordEvery = series, now, every
 }
 
-// Process implements Sink.
-func (c *Counter) Process(_ int, _ stream.Element) {
-	n := c.n.Add(1)
-	if c.series != nil && n%c.recordEvery == 0 {
-		c.series.Add(c.now(), float64(n))
-	}
-}
-
-// ProcessBatch implements BatchSink: one counter add per burst. When a
+// ProcessBatch implements Sink: one counter add per burst. When a
 // series is attached and the burst crosses a recording boundary, one point
 // is logged at the post-burst count — the curve keeps its recordEvery
 // resolution, coarsened to batch granularity within a burst.
@@ -165,12 +150,7 @@ func NewLatencySink(ins, size int, seed uint64, now func() int64) *LatencySink {
 	return &LatencySink{res: stats.NewReservoir(size, seed), now: now, done: make(chan struct{}), ins: int32(ins)}
 }
 
-// Process implements Sink.
-func (l *LatencySink) Process(_ int, e stream.Element) {
-	l.res.Observe(float64(l.now() - e.TS))
-}
-
-// ProcessBatch implements BatchSink: the arrival instant is read once for
+// ProcessBatch implements Sink: the arrival instant is read once for
 // the burst — the elements genuinely arrived together, so one clock read
 // is the honest timestamp for all of them.
 func (l *LatencySink) ProcessBatch(_ int, es []stream.Element) {
@@ -212,10 +192,7 @@ func NewNull(ins int) *Null {
 	return &Null{done: make(chan struct{}), ins: int32(ins)}
 }
 
-// Process implements Sink.
-func (n *Null) Process(int, stream.Element) {}
-
-// ProcessBatch implements BatchSink.
+// ProcessBatch implements Sink.
 func (n *Null) ProcessBatch(int, []stream.Element) {}
 
 // Done implements Sink.

@@ -67,18 +67,9 @@ func (t *Throttle) admit(e stream.Element) bool {
 	return false
 }
 
-// Process implements Sink.
-func (t *Throttle) Process(_ int, e stream.Element) {
-	w := t.BeginWork(e)
-	if t.admit(e) {
-		t.Emit(e)
-	}
-	t.EndWork(w)
-}
-
-// ProcessBatch implements BatchSink. Token accounting runs on each
-// element's event time exactly as in the scalar path — only the metering
-// and the downstream dispatch are batched.
+// ProcessBatch implements Sink. Token accounting runs on each element's
+// event time, so the batch split cannot change what passes — only the
+// metering and the downstream dispatch are batched.
 func (t *Throttle) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return

@@ -14,10 +14,10 @@ func TestTopKTracksHeavyHitters(t *testing.T) {
 	k.Subscribe(c, 0)
 	// Key 7 appears 5x, key 3 appears 3x, key 1 once.
 	ts := int64(0)
-	feed := []int64{7, 3, 7, 1, 7, 3, 7, 3, 7}
-	for _, key := range feed {
+	keys := []int64{7, 3, 7, 1, 7, 3, 7, 3, 7}
+	for _, key := range keys {
 		ts += 10
-		k.Process(0, stream.Element{TS: ts, Key: key})
+		feed(k, 0, stream.Element{TS: ts, Key: key})
 	}
 	top := k.Top()
 	if len(top) != 2 || top[0] != 7 || top[1] != 3 {
@@ -45,14 +45,14 @@ func TestTopKWindowExpiry(t *testing.T) {
 	k := NewTopK("t", 1, 100)
 	c := NewCollector(1)
 	k.Subscribe(c, 0)
-	k.Process(0, stream.Element{TS: 0, Key: 1})
-	k.Process(0, stream.Element{TS: 10, Key: 1})
-	k.Process(0, stream.Element{TS: 20, Key: 2})
+	feed(k, 0, stream.Element{TS: 0, Key: 1})
+	feed(k, 0, stream.Element{TS: 10, Key: 1})
+	feed(k, 0, stream.Element{TS: 20, Key: 2})
 	if top := k.Top(); top[0] != 1 {
 		t.Fatalf("top %v", top)
 	}
 	// After the window passes, key 2's fresh burst dominates.
-	k.Process(0, stream.Element{TS: 200, Key: 2})
+	feed(k, 0, stream.Element{TS: 200, Key: 2})
 	if top := k.Top(); top[0] != 2 {
 		t.Fatalf("top after expiry %v", top)
 	}
@@ -70,7 +70,7 @@ func TestTopKAgainstBruteForce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		ts += rng.Int64n(20)
 		e := stream.Element{TS: ts, Key: rng.Int64n(10)}
-		k.Process(0, e)
+		feed(k, 0, e)
 		live = append(live, e)
 		// Brute-force window recomputation.
 		counts := map[int64]int64{}
@@ -113,7 +113,7 @@ func TestThrottleShedsToRate(t *testing.T) {
 	c := NewCollector(1)
 	th.Subscribe(c, 0)
 	for i := 0; i < 1000; i++ {
-		th.Process(0, stream.Element{TS: int64(i) * 1_000_000, Key: int64(i)})
+		feed(th, 0, stream.Element{TS: int64(i) * 1_000_000, Key: int64(i)})
 	}
 	th.Done(0)
 	c.Wait()
@@ -132,7 +132,7 @@ func TestThrottleBurst(t *testing.T) {
 	th.Subscribe(c, 0)
 	// 5 elements at the same instant: all pass on the initial burst.
 	for i := 0; i < 8; i++ {
-		th.Process(0, stream.Element{TS: 0, Key: int64(i)})
+		feed(th, 0, stream.Element{TS: 0, Key: int64(i)})
 	}
 	th.Done(0)
 	c.Wait()
@@ -145,9 +145,9 @@ func TestThrottleIdlePeriodRefills(t *testing.T) {
 	th := NewThrottle("t", 1000, 1)
 	c := NewCollector(1)
 	th.Subscribe(c, 0)
-	th.Process(0, stream.Element{TS: 0})
-	th.Process(0, stream.Element{TS: 100})       // shed: no tokens yet
-	th.Process(0, stream.Element{TS: 2_000_000}) // 2ms later: refilled
+	feed(th, 0, stream.Element{TS: 0})
+	feed(th, 0, stream.Element{TS: 100})       // shed: no tokens yet
+	feed(th, 0, stream.Element{TS: 2_000_000}) // 2ms later: refilled
 	th.Done(0)
 	c.Wait()
 	if c.Len() != 2 {

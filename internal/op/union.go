@@ -18,16 +18,9 @@ func NewUnion(name string, ins int) *Union {
 	return u
 }
 
-// Process implements Sink.
-func (u *Union) Process(_ int, e stream.Element) {
-	t := u.BeginWork(e)
-	u.Emit(e)
-	u.EndWork(t)
-}
-
-// ProcessBatch implements BatchSink: a pure pass-through, so the incoming
+// ProcessBatch implements Sink: a pure pass-through, so the incoming
 // slice is forwarded as-is — no copy, since neither Union nor any
-// downstream BatchSink may mutate or retain it.
+// downstream Sink may mutate or retain it.
 func (u *Union) ProcessBatch(_ int, es []stream.Element) {
 	if len(es) == 0 {
 		return

@@ -53,7 +53,7 @@ func TestHookVetoOvershootsBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		done := make(chan struct{})
 		go func(i int) {
-			q.Process(0, stream.Element{Key: int64(i)})
+			enqueue(q, stream.Element{Key: int64(i)})
 			close(done)
 		}(i)
 		select {
@@ -88,10 +88,10 @@ func TestHookAbortForcesPush(t *testing.T) {
 	abort := make(chan struct{})
 	h := &fakeHook{park: true, abort: abort}
 	q.SetWaitHook(h)
-	q.Process(0, stream.Element{Key: 0}) // fill to the bound
+	enqueue(q, stream.Element{Key: 0}) // fill to the bound
 	done := make(chan struct{})
 	go func() {
-		q.Process(0, stream.Element{Key: 1})
+		enqueue(q, stream.Element{Key: 1})
 		close(done)
 	}()
 	waitCond(t, func() bool { return q.FullBlocks() == 1 }, "producer never parked")
@@ -121,10 +121,10 @@ func TestHookResumeOnPoisonWake(t *testing.T) {
 	q := New("q", 1)
 	h := &fakeHook{park: true}
 	q.SetWaitHook(h)
-	q.Process(0, stream.Element{Key: 0})
+	enqueue(q, stream.Element{Key: 0})
 	done := make(chan struct{})
 	go func() {
-		q.Process(0, stream.Element{Key: 1})
+		enqueue(q, stream.Element{Key: 1})
 		close(done)
 	}()
 	waitCond(t, func() bool { return q.FullBlocks() == 1 }, "producer never parked")
@@ -196,12 +196,12 @@ func TestHookCountersUnderDrain(t *testing.T) {
 	q.SetWaitHook(h)
 	go func() {
 		for i := 0; i < n; i++ {
-			q.Process(0, stream.Element{Key: int64(i)})
+			enqueue(q, stream.Element{Key: int64(i)})
 		}
 		q.Done(0)
 	}()
 	for open := true; open; {
-		_, open = q.Drain(3)
+		_, open = drain(q, 3)
 		time.Sleep(50 * time.Microsecond)
 	}
 	if rec.len() != n {
@@ -236,10 +236,10 @@ func TestHookNilAfterInstall(t *testing.T) {
 	h := &fakeHook{park: true}
 	q.SetWaitHook(h)
 	q.SetWaitHook(nil)
-	q.Process(0, stream.Element{Key: 0})
+	enqueue(q, stream.Element{Key: 0})
 	var pushed atomic.Bool
 	go func() {
-		q.Process(0, stream.Element{Key: 1})
+		enqueue(q, stream.Element{Key: 1})
 		pushed.Store(true)
 	}()
 	waitCond(t, func() bool { return q.FullBlocks() == 1 }, "producer never parked")
@@ -249,7 +249,7 @@ func TestHookNilAfterInstall(t *testing.T) {
 	if yields, _ := h.counts(); yields != 0 {
 		t.Fatalf("uninstalled hook still consulted: %d yields", yields)
 	}
-	q.Drain(1)
+	drain(q, 1)
 	waitCond(t, func() bool { return pushed.Load() }, "push never completed after drain")
 }
 

@@ -16,9 +16,9 @@ type recorder struct {
 	done []int
 }
 
-func (r *recorder) Process(_ int, e stream.Element) {
+func (r *recorder) ProcessBatch(_ int, es []stream.Element) {
 	r.mu.Lock()
-	r.els = append(r.els, e)
+	r.els = append(r.els, es...)
 	r.mu.Unlock()
 }
 
@@ -26,6 +26,16 @@ func (r *recorder) Done(port int) {
 	r.mu.Lock()
 	r.done = append(r.done, port)
 	r.mu.Unlock()
+}
+
+// enqueue hands q one element as a one-element batch. It is the single way
+// tests in this package enqueue an individual element.
+func enqueue(q *Queue, e stream.Element) { q.ProcessBatch(0, []stream.Element{e}) }
+
+// drain delivers up to n elements (at least one) through DrainBatch with a
+// scratch slice of that size.
+func drain(q *Queue, n int) (delivered int, open bool) {
+	return q.DrainBatch(make([]stream.Element, max(n, 1)), n)
 }
 
 func (r *recorder) len() int {
@@ -39,10 +49,10 @@ func TestFIFOOrder(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 3)
 	for i := 0; i < 1000; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		enqueue(q, stream.Element{Key: int64(i)})
 	}
 	q.Done(0)
-	n, open := q.Drain(10_000)
+	n, open := drain(q, 10_000)
 	if n != 1000 || open {
 		t.Fatalf("Drain = (%d, %v), want (1000, false)", n, open)
 	}
@@ -61,18 +71,18 @@ func TestDrainBatching(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
 	for i := 0; i < 100; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		enqueue(q, stream.Element{Key: int64(i)})
 	}
-	n, open := q.Drain(30)
+	n, open := drain(q, 30)
 	if n != 30 || !open {
-		t.Fatalf("Drain(30) = (%d, %v)", n, open)
+		t.Fatalf("drain(30) = (%d, %v)", n, open)
 	}
 	if q.Len() != 70 {
 		t.Fatalf("Len after partial drain: %d", q.Len())
 	}
-	n, open = q.Drain(0) // max <= 0 behaves as 1
+	n, open = drain(q, 0) // max <= 0 behaves as 1
 	if n != 1 || !open {
-		t.Fatalf("Drain(0) = (%d, %v)", n, open)
+		t.Fatalf("drain(0) = (%d, %v)", n, open)
 	}
 }
 
@@ -80,7 +90,7 @@ func TestDoneOnlyAfterDrainingBuffer(t *testing.T) {
 	q := New("q", 0)
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
-	q.Process(0, stream.Element{Key: 1})
+	enqueue(q, stream.Element{Key: 1})
 	q.Done(0)
 	if q.Closed() {
 		t.Fatal("queue closed before drain")
@@ -89,7 +99,7 @@ func TestDoneOnlyAfterDrainingBuffer(t *testing.T) {
 	// propagates Done in the same call — even when it delivered exactly
 	// max elements — so the executor never pays a wakeup just to learn
 	// the queue is finished.
-	n, open := q.Drain(1)
+	n, open := drain(q, 1)
 	if n != 1 || open {
 		t.Fatalf("closing drain = (%d, %v), want (1, false)", n, open)
 	}
@@ -97,7 +107,7 @@ func TestDoneOnlyAfterDrainingBuffer(t *testing.T) {
 		t.Fatal("Done not propagated exactly once")
 	}
 	// Further drains stay closed and quiet.
-	if n, open := q.Drain(5); n != 0 || open {
+	if n, open := drain(q, 5); n != 0 || open {
 		t.Fatalf("post-close drain = (%d, %v)", n, open)
 	}
 	if len(rec.done) != 1 {
@@ -114,12 +124,12 @@ func TestDrainExactMaxClosesQueue(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
 	for i := 0; i < 64; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		enqueue(q, stream.Element{Key: int64(i)})
 	}
 	q.Done(0)
-	n, open := q.Drain(64)
+	n, open := drain(q, 64)
 	if n != 64 || open {
-		t.Fatalf("Drain(64) = (%d, %v), want (64, false)", n, open)
+		t.Fatalf("drain(64) = (%d, %v), want (64, false)", n, open)
 	}
 	if len(rec.done) != 1 || !q.Closed() {
 		t.Fatalf("Done not propagated with the closing batch: done=%v closed=%v", rec.done, q.Closed())
@@ -129,9 +139,9 @@ func TestDrainExactMaxClosesQueue(t *testing.T) {
 	q2 := New("q2", 0)
 	rec2 := &recorder{}
 	q2.Subscribe(rec2, 0)
-	q2.Process(0, stream.Element{})
-	if n, open := q2.Drain(1); n != 1 || !open {
-		t.Fatalf("Drain(1) with live input = (%d, %v), want (1, true)", n, open)
+	enqueue(q2, stream.Element{})
+	if n, open := drain(q2, 1); n != 1 || !open {
+		t.Fatalf("drain(1) with live input = (%d, %v), want (1, true)", n, open)
 	}
 	if len(rec2.done) != 0 {
 		t.Fatal("Done propagated while input still open")
@@ -152,7 +162,7 @@ func TestMultipleProducers(t *testing.T) {
 	if !q.InputClosed() {
 		t.Fatal("input should be closed")
 	}
-	if _, open := q.Drain(1); open {
+	if _, open := drain(q, 1); open {
 		t.Fatal("drain should close the queue")
 	}
 }
@@ -166,7 +176,7 @@ func TestEnqueueAfterCloseIsBug(t *testing.T) {
 			t.Fatal("enqueue into closed queue should panic")
 		}
 	}()
-	q.Process(0, stream.Element{})
+	enqueue(q, stream.Element{})
 }
 
 func TestBoundedBackpressure(t *testing.T) {
@@ -174,11 +184,11 @@ func TestBoundedBackpressure(t *testing.T) {
 	rec := &recorder{}
 	q.Subscribe(rec, 0)
 	for i := 0; i < 4; i++ {
-		q.Process(0, stream.Element{Key: int64(i)})
+		enqueue(q, stream.Element{Key: int64(i)})
 	}
 	blocked := make(chan struct{})
 	go func() {
-		q.Process(0, stream.Element{Key: 99}) // must block on full queue
+		enqueue(q, stream.Element{Key: 99}) // must block on full queue
 		close(blocked)
 	}()
 	select {
@@ -186,7 +196,7 @@ func TestBoundedBackpressure(t *testing.T) {
 		t.Fatal("producer did not block on a full bounded queue")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.Drain(1)
+	drain(q, 1)
 	select {
 	case <-blocked:
 	case <-time.After(time.Second):
@@ -194,7 +204,7 @@ func TestBoundedBackpressure(t *testing.T) {
 	}
 	q.Done(0)
 	for {
-		if _, open := q.Drain(10); !open {
+		if _, open := drain(q, 10); !open {
 			break
 		}
 	}
@@ -207,12 +217,12 @@ func TestStatsCounters(t *testing.T) {
 	q := New("q", 0)
 	q.Subscribe(&recorder{}, 0)
 	for i := 0; i < 10; i++ {
-		q.Process(0, stream.Element{TS: int64(i) * 50})
+		enqueue(q, stream.Element{TS: int64(i) * 50})
 	}
 	if q.Enqueued() != 10 || q.Dequeued() != 0 || q.Len() != 10 || q.MaxLen() != 10 {
 		t.Fatalf("enq=%d deq=%d len=%d max=%d", q.Enqueued(), q.Dequeued(), q.Len(), q.MaxLen())
 	}
-	q.Drain(4)
+	drain(q, 4)
 	if q.Dequeued() != 4 || q.Len() != 6 || q.MaxLen() != 10 {
 		t.Fatalf("after drain: deq=%d len=%d max=%d", q.Dequeued(), q.Len(), q.MaxLen())
 	}
@@ -227,8 +237,8 @@ func TestFrontTS(t *testing.T) {
 	if _, ok := q.FrontTS(); ok {
 		t.Fatal("empty queue has a front timestamp")
 	}
-	q.Process(0, stream.Element{TS: 42})
-	q.Process(0, stream.Element{TS: 43})
+	enqueue(q, stream.Element{TS: 42})
+	enqueue(q, stream.Element{TS: 43})
 	if ts, ok := q.FrontTS(); !ok || ts != 42 {
 		t.Fatalf("FrontTS = (%d, %v)", ts, ok)
 	}
@@ -241,7 +251,7 @@ func TestWaitWorkWakesOnEnqueue(t *testing.T) {
 	got := make(chan bool, 1)
 	go func() { got <- q.WaitWork(stop) }()
 	time.Sleep(5 * time.Millisecond)
-	q.Process(0, stream.Element{})
+	enqueue(q, stream.Element{})
 	select {
 	case v := <-got:
 		if !v {
@@ -263,7 +273,7 @@ func TestWaitWorkWakesOnClose(t *testing.T) {
 	if v := <-got; !v {
 		t.Fatal("WaitWork should report the pending Done as work")
 	}
-	q.Drain(1)
+	drain(q, 1)
 	if q.WaitWork(stop) {
 		t.Fatal("WaitWork on a finished queue should return false")
 	}
@@ -291,20 +301,20 @@ func TestNotifyCallback(t *testing.T) {
 	q.Subscribe(&recorder{}, 0)
 	pings := 0
 	q.SetNotify(func() { pings++ })
-	q.Process(0, stream.Element{})
+	enqueue(q, stream.Element{})
 	if pings != 1 {
 		t.Fatalf("pings after enqueue into empty queue: %d, want 1", pings)
 	}
 	// Enqueues into a non-empty queue ping too: length-ordered strategies
 	// need to hear about the growth.
-	q.Process(0, stream.Element{})
+	enqueue(q, stream.Element{})
 	if pings != 2 {
 		t.Fatalf("pings after second enqueue: %d, want 2", pings)
 	}
 	// The gauges are published before the callback fires.
 	saw := -1
 	q.SetNotify(func() { saw = q.Len() })
-	q.Process(0, stream.Element{TS: 9})
+	enqueue(q, stream.Element{TS: 9})
 	if saw != 3 {
 		t.Fatalf("callback observed len %d, want 3", saw)
 	}
@@ -324,15 +334,15 @@ func TestGaugesTrackQueueState(t *testing.T) {
 	if q.HasWork() || q.InputClosed() || q.Closed() {
 		t.Fatal("fresh queue reports work or closure")
 	}
-	q.Process(0, stream.Element{TS: 7})
-	q.Process(0, stream.Element{TS: 8})
+	enqueue(q, stream.Element{TS: 7})
+	enqueue(q, stream.Element{TS: 8})
 	if ts, ok := q.FrontTS(); !ok || ts != 7 {
 		t.Fatalf("FrontTS = (%d, %v), want (7, true)", ts, ok)
 	}
 	if q.Len() != 2 || !q.HasWork() {
 		t.Fatalf("len=%d hasWork=%v", q.Len(), q.HasWork())
 	}
-	q.Drain(1)
+	drain(q, 1)
 	if ts, ok := q.FrontTS(); !ok || ts != 8 {
 		t.Fatalf("FrontTS after pop = (%d, %v), want (8, true)", ts, ok)
 	}
@@ -340,7 +350,7 @@ func TestGaugesTrackQueueState(t *testing.T) {
 	if !q.InputClosed() || q.Closed() {
 		t.Fatalf("inputClosed=%v closed=%v after Done", q.InputClosed(), q.Closed())
 	}
-	q.Drain(4) // deliver the remaining element and propagate Done
+	drain(q, 4) // deliver the remaining element and propagate Done
 	if !q.Closed() || q.HasWork() || q.Len() != 0 {
 		t.Fatalf("closed=%v hasWork=%v len=%d after final drain", q.Closed(), q.HasWork(), q.Len())
 	}
@@ -361,7 +371,7 @@ func TestConcurrentProducersConservation(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				q.Process(0, stream.Element{Key: int64(p), Val: float64(i)})
+				enqueue(q, stream.Element{Key: int64(p), Val: float64(i)})
 			}
 			q.Done(0)
 		}(p)
@@ -370,7 +380,7 @@ func TestConcurrentProducersConservation(t *testing.T) {
 	go func() {
 		defer close(consumerDone)
 		for {
-			if _, open := q.Drain(64); !open {
+			if _, open := drain(q, 64); !open {
 				return
 			}
 			q.WaitWork(nil)
@@ -401,14 +411,14 @@ func TestDrainPropertyFIFO(t *testing.T) {
 		want := 0
 		for _, b := range batches {
 			for i := 0; i < int(b%17); i++ {
-				q.Process(0, stream.Element{Key: int64(want)})
+				enqueue(q, stream.Element{Key: int64(want)})
 				want++
 			}
-			q.Drain(7) // interleaved partial drains
+			drain(q, 7) // interleaved partial drains
 		}
 		q.Done(0)
 		for {
-			if _, open := q.Drain(13); !open {
+			if _, open := drain(q, 13); !open {
 				break
 			}
 		}
@@ -434,14 +444,14 @@ func TestRingGrowthPreservesOrderAcrossWrap(t *testing.T) {
 	// Force wrap-around and growth: enqueue 24, drain 16, repeatedly.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 24; i++ {
-			q.Process(0, stream.Element{Key: next})
+			enqueue(q, stream.Element{Key: next})
 			next++
 		}
-		q.Drain(16)
+		drain(q, 16)
 	}
 	q.Done(0)
 	for {
-		if _, open := q.Drain(64); !open {
+		if _, open := drain(q, 64); !open {
 			break
 		}
 	}
@@ -457,11 +467,11 @@ func TestUnsubscribe(t *testing.T) {
 	a, b := &recorder{}, &recorder{}
 	q.Subscribe(a, 0)
 	q.Subscribe(b, 1)
-	q.Process(0, stream.Element{})
-	q.Drain(1)
+	enqueue(q, stream.Element{})
+	drain(q, 1)
 	q.Unsubscribe(a, 0)
-	q.Process(0, stream.Element{})
-	q.Drain(1)
+	enqueue(q, stream.Element{})
+	drain(q, 1)
 	if a.len() != 1 || b.len() != 2 {
 		t.Fatalf("a=%d b=%d", a.len(), b.len())
 	}
@@ -476,11 +486,11 @@ func TestUnsubscribe(t *testing.T) {
 func TestPoisonReleasesBlockedProducer(t *testing.T) {
 	q := New("q", 2)
 	q.Subscribe(&recorder{}, 0)
-	q.Process(0, stream.Element{})
-	q.Process(0, stream.Element{})
+	enqueue(q, stream.Element{})
+	enqueue(q, stream.Element{})
 	unblocked := make(chan struct{})
 	go func() {
-		q.Process(0, stream.Element{Key: 99}) // blocks: full
+		enqueue(q, stream.Element{Key: 99}) // blocks: full
 		close(unblocked)
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -494,7 +504,7 @@ func TestPoisonReleasesBlockedProducer(t *testing.T) {
 		t.Fatalf("dropped %d, want 1", q.Dropped())
 	}
 	// Further enqueues are dropped silently; buffered elements drain.
-	q.Process(0, stream.Element{Key: 100})
+	enqueue(q, stream.Element{Key: 100})
 	if q.Dropped() != 2 {
 		t.Fatalf("dropped %d, want 2", q.Dropped())
 	}

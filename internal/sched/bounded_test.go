@@ -19,7 +19,7 @@ import (
 // with bounded queues, level-3 TS at MaxConcurrent=1, GOMAXPROCS=1. The
 // producer partition fills the consumer's queue; before cooperative
 // blocking it parked holding the only run permit and the graph froze.
-// Both transfer paths (scalar Batch=1 and batched) must drain to
+// One-element drains (Batch=1) and batched drains must both drain to
 // completion with every bound respected.
 func TestBoundedChainCooperative(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

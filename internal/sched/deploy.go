@@ -98,19 +98,9 @@ type srcAdapter struct {
 	finished atomic.Bool
 }
 
-// Process implements op.Sink.
-func (a *srcAdapter) Process(_ int, e stream.Element) {
-	a.d.world.RLock()
-	defer a.d.world.RUnlock()
-	for i := range a.targets {
-		a.targets[i].process(e)
-	}
-}
-
-// ProcessBatch implements op.BatchSink: a bursting source hands a whole
-// burst over in one call, and each target that supports batched enqueue
-// (notably the decoupling queue) receives it under a single lock
-// acquisition instead of one per element.
+// ProcessBatch implements op.Sink: a bursting source hands a whole burst
+// over in one call, and each target (notably the decoupling queue)
+// receives it under a single lock acquisition instead of one per element.
 func (a *srcAdapter) ProcessBatch(_ int, es []stream.Element) {
 	a.d.world.RLock()
 	defer a.d.world.RUnlock()
@@ -135,26 +125,12 @@ func (a *srcAdapter) Done(int) {
 // an executor inside a delivery, which a splice aborts (quiesce, halt)
 // before it takes the write lock.
 
-func (t *srcTarget) process(e stream.Element) {
-	if t.gate != nil {
-		t.gate.Lock()
-		defer t.gate.Unlock()
-	}
-	t.sink.Process(t.port, e)
-}
-
 func (t *srcTarget) processBatch(es []stream.Element) {
 	if t.gate != nil {
 		t.gate.Lock()
 		defer t.gate.Unlock()
 	}
-	if bs, ok := t.sink.(op.BatchSink); ok {
-		bs.ProcessBatch(t.port, es)
-		return
-	}
-	for _, e := range es {
-		t.sink.Process(t.port, e)
-	}
+	t.sink.ProcessBatch(t.port, es)
 }
 
 func (t *srcTarget) done() {

@@ -159,7 +159,8 @@ func (d *Deployment) wire(e graph.Edge, cut, seen bool) {
 		q := queue.New(fmt.Sprintf("q(%s->%s)", from.Name, to.Name), d.opts.QueueBound)
 		if done && seen {
 			q.Done(0)
-			q.Drain(1) // closes the queue before its consumer is attached
+			var one [1]stream.Element
+			q.DrainBatch(one[:], 1) // closes the queue before its consumer is attached
 		}
 		q.Subscribe(to.Op, e.ToPort)
 		d.queues[e.Key()] = q

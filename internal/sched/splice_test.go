@@ -16,7 +16,7 @@ type doneCounter struct {
 	dones atomic.Int32
 }
 
-func (c *doneCounter) Process(_ int, e stream.Element) { c.Emit(e) }
+func (c *doneCounter) ProcessBatch(_ int, es []stream.Element) { c.EmitBatch(es) }
 
 func (c *doneCounter) Done(port int) {
 	c.dones.Add(1)

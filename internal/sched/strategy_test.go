@@ -12,8 +12,12 @@ import (
 // devnull is the minimal downstream for test queues.
 type devnull struct{}
 
-func (devnull) Process(int, stream.Element) {}
-func (devnull) Done(int)                    {}
+func (devnull) ProcessBatch(int, []stream.Element) {}
+func (devnull) Done(int)                           {}
+
+// enqueue hands q one element as a one-element batch. It is the single way
+// tests in this package enqueue an individual element.
+func enqueue(q *queue.Queue, e stream.Element) { q.ProcessBatch(0, []stream.Element{e}) }
 
 // unitWith returns a unit whose queue holds elements with the given
 // timestamps.
@@ -21,7 +25,7 @@ func unitWith(name string, tss ...int64) *Unit {
 	q := queue.New(name, 0)
 	q.Subscribe(devnull{}, 0)
 	for _, ts := range tss {
-		q.Process(0, stream.Element{TS: ts})
+		enqueue(q, stream.Element{TS: ts})
 	}
 	return &Unit{Q: q}
 }
@@ -76,7 +80,7 @@ func TestFIFOTracksUpdates(t *testing.T) {
 		t.Fatalf("picked %d, want 0", got)
 	}
 	// Drain a's front; its next element is younger than b's front.
-	a.Q.Process(0, stream.Element{TS: 30})
+	enqueue(a.Q, stream.Element{TS: 30})
 	var scratch [1]stream.Element
 	a.Q.DrainBatch(scratch[:], 1)
 	s.Update(0)
@@ -235,7 +239,7 @@ func TestMaxQueueTracksGrowth(t *testing.T) {
 	// unit dirty and is folded in before the next pick.
 	b.Q.SetNotify(func() { s.Update(1) })
 	for i := 0; i < 5; i++ {
-		b.Q.Process(0, stream.Element{TS: int64(i)})
+		enqueue(b.Q, stream.Element{TS: int64(i)})
 	}
 	if got := s.Pick(); got != 1 {
 		t.Fatalf("picked %d, want the grown queue", got)
@@ -427,7 +431,7 @@ func TestFIFOGlobalOrderAtBatchGranularity(t *testing.T) {
 	// queues, so every queue's buffer is locally sorted (the FIFO model).
 	for k := 0; k < nq*per; k++ {
 		next += int64(1 + rng.Intn(5))
-		units[rng.Intn(nq)].Q.Process(0, stream.Element{TS: next})
+		enqueue(units[rng.Intn(nq)].Q, stream.Element{TS: next})
 	}
 	s := initStrat(&FIFO{}, units)
 	var scratch [1]stream.Element
@@ -451,8 +455,12 @@ func TestFIFOGlobalOrderAtBatchGranularity(t *testing.T) {
 
 type orderRecorder struct{ ts []int64 }
 
-func (r *orderRecorder) Process(_ int, e stream.Element) { r.ts = append(r.ts, e.TS) }
-func (r *orderRecorder) Done(int)                        {}
+func (r *orderRecorder) ProcessBatch(_ int, es []stream.Element) {
+	for _, e := range es {
+		r.ts = append(r.ts, e.TS)
+	}
+}
+func (r *orderRecorder) Done(int) {}
 
 // TestPickDoesNotAllocate guards the hot path: a Pick+Update cycle on
 // every strategy must run allocation-free once the index is built.

@@ -16,10 +16,9 @@ package slo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
-	"github.com/dsms/hmts/internal/xrand"
+	"github.com/dsms/hmts/internal/stats"
 )
 
 // Second is one completed per-second sample of the run.
@@ -83,11 +82,8 @@ func fmtNS(ns float64) string {
 // memory per second while the per-second quantiles stay unbiased.
 type Monitor struct {
 	mu     sync.Mutex
-	rng    *xrand.Rand
-	sample []float64 // reservoir of the current second
-	cap    int
-	seen   uint64  // observations in the current second
-	max    float64 // exact max of the current second (never sampled away)
+	sample *stats.Reservoir // sample of the current second, Reset per Roll
+	max    float64          // exact max of the current second (never sampled away)
 	events []string
 	secs   []Second
 }
@@ -99,22 +95,17 @@ func NewMonitor(sample int, seed uint64) *Monitor {
 	if sample < 1 {
 		sample = 4096
 	}
-	return &Monitor{rng: xrand.New(seed), cap: sample, sample: make([]float64, 0, sample)}
+	return &Monitor{sample: stats.NewReservoir(sample, seed)}
 }
 
 // Observe records one end-to-end latency, in nanoseconds, into the
 // current second. Safe for concurrent callers.
 func (m *Monitor) Observe(latencyNS float64) {
 	m.mu.Lock()
-	m.seen++
 	if latencyNS > m.max {
 		m.max = latencyNS
 	}
-	if len(m.sample) < m.cap {
-		m.sample = append(m.sample, latencyNS)
-	} else if j := m.rng.Int64n(int64(m.seen)); j < int64(m.cap) {
-		m.sample[j] = latencyNS
-	}
+	m.sample.Observe(latencyNS)
 	m.mu.Unlock()
 }
 
@@ -131,10 +122,11 @@ func (m *Monitor) Event(name string) {
 // returned Second is the completed sample.
 func (m *Monitor) Roll(gauges Gauges) Second {
 	m.mu.Lock()
+	seen, sorted := m.sample.Reset()
 	s := Second{
 		Index:     len(m.secs),
-		Count:     m.seen,
-		Sampled:   len(m.sample),
+		Count:     seen,
+		Sampled:   len(sorted),
 		Max:       m.max,
 		Dropped:   gauges.Dropped,
 		Backlog:   gauges.Backlog,
@@ -142,14 +134,9 @@ func (m *Monitor) Roll(gauges Gauges) Second {
 		Overshoot: gauges.Overshoot,
 		Events:    m.events,
 	}
-	if len(m.sample) > 0 {
-		sort.Float64s(m.sample)
-		s.P50 = quantileSorted(m.sample, 0.50)
-		s.P90 = quantileSorted(m.sample, 0.90)
-		s.P99 = quantileSorted(m.sample, 0.99)
-	}
-	m.sample = m.sample[:0]
-	m.seen = 0
+	s.P50 = stats.QuantileSorted(sorted, 0.50)
+	s.P90 = stats.QuantileSorted(sorted, 0.90)
+	s.P99 = stats.QuantileSorted(sorted, 0.99)
 	m.max = 0
 	m.events = nil
 	m.secs = append(m.secs, s)
@@ -173,18 +160,4 @@ func (m *Monitor) Series() []Second {
 	copy(out, m.secs)
 	m.mu.Unlock()
 	return out
-}
-
-// quantileSorted reads the q-quantile from an ascending slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
 }

@@ -216,16 +216,7 @@ func newMonitorSink(mon *slo.Monitor) *monitorSink {
 	return &monitorSink{mon: mon, done: make(chan struct{})}
 }
 
-// Process implements op.Sink.
-func (k *monitorSink) Process(_ int, e stream.Element) {
-	if d := k.stallNS.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	k.seen.Add(1)
-	k.mon.Observe(float64(ingest.Now() - e.TS))
-}
-
-// ProcessBatch implements op.BatchSink; the stall is charged per element
+// ProcessBatch implements op.Sink; the stall is charged per element
 // so a burst does not dilute the injected slowness.
 func (k *monitorSink) ProcessBatch(_ int, es []stream.Element) {
 	if d := k.stallNS.Load(); d > 0 {
@@ -240,6 +231,13 @@ func (k *monitorSink) ProcessBatch(_ int, es []stream.Element) {
 
 // Done implements op.Sink.
 func (k *monitorSink) Done(int) { close(k.done) }
+
+// discard is a query sink that drops every result.
+type discard struct{}
+
+func (discard) Process(int, hmts.Element)        {}
+func (discard) ProcessBatch(int, []hmts.Element) {}
+func (discard) Done(int)                         {}
 
 // Run executes the scenario, streaming one per-second report line to w as
 // each second completes (nil w is silent).
@@ -685,7 +683,7 @@ func runChurn(eng *hmts.Engine, src *hmts.Stream, cs *ChurnSpec, mon *slo.Monito
 			}
 			name := fmt.Sprintf("churn%d", i)
 			thr := float64(i % 13)
-			if err := eng.AddQuery(name, op.NewNull(1), func() (*hmts.Stream, error) {
+			if err := eng.AddQuery(name, discard{}, func() (*hmts.Stream, error) {
 				// The prefix is byte-for-byte the same plan in every churn
 				// query, so the subsumption rewriter instantiates it once;
 				// the threshold filter diverges per query and is pruned

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// noArrival is the lastIn sentinel before the first RecordIn. A real event
-// time of MinInt64 would be mistaken for it, but interarrival math is
-// meaningless that far outside the epoch anyway.
+// noArrival is the lastIn sentinel before the first RecordInBatch. A real
+// event time of MinInt64 would be mistaken for it, but interarrival math
+// is meaningless that far outside the epoch anyway.
 const noArrival = math.MinInt64
 
 // OpStats tracks what one operator did: element counts, busy time, and the
@@ -39,21 +39,11 @@ func NewOpStats() *OpStats {
 	return s
 }
 
-// RecordIn notes one arriving element with event time ts, updating the
-// interarrival estimator d(v).
-func (s *OpStats) RecordIn(ts int64) {
-	s.in.Add(1)
-	prev := s.lastIn.Swap(ts)
-	if prev != noArrival && ts >= prev {
-		s.interNS.Observe(float64(ts - prev))
-	}
-}
-
 // RecordInBatch notes n arriving elements spanning event times firstTS to
-// lastTS in one call — the bulk mirror of RecordIn for batched enqueues.
-// The interarrival estimator d(v) receives one observation, the mean gap
-// across the batch relative to the previous arrival, so a burst of n
-// elements costs one EWMA update instead of n.
+// lastTS in one call. The interarrival estimator d(v) receives one
+// observation, the mean gap across the batch relative to the previous
+// arrival, so a burst of n elements costs one EWMA update instead of n; a
+// one-element batch observes exactly its gap to the previous arrival.
 func (s *OpStats) RecordInBatch(firstTS, lastTS int64, n int) {
 	if n <= 0 {
 		return
@@ -62,9 +52,14 @@ func (s *OpStats) RecordInBatch(firstTS, lastTS int64, n int) {
 	prev := s.lastIn.Swap(lastTS)
 	switch {
 	case prev != noArrival:
-		if lastTS >= prev {
-			s.interNS.Observe(float64(lastTS-prev) / float64(n))
+		if lastTS < prev {
+			return
 		}
+		gap := float64(lastTS - prev)
+		if n > 1 {
+			gap /= float64(n)
+		}
+		s.interNS.Observe(gap)
 	case n > 1 && lastTS >= firstTS:
 		s.interNS.Observe(float64(lastTS-firstTS) / float64(n-1))
 	}
@@ -73,18 +68,11 @@ func (s *OpStats) RecordInBatch(firstTS, lastTS int64, n int) {
 // RecordOut notes n emitted elements.
 func (s *OpStats) RecordOut(n int) { s.out.Add(uint64(n)) }
 
-// RecordBusy adds d nanoseconds of processing time for one element and
-// updates the cost estimator c(v).
-func (s *OpStats) RecordBusy(d int64) {
-	s.busyNS.Add(d)
-	s.costNS.Observe(float64(d))
-}
-
-// RecordBusyBatch adds d nanoseconds of processing time spanning n elements
-// — the bulk mirror of RecordBusy for batch-metered operators. The cost
-// estimator c(v) stays per-element: it receives one observation of d/n, so
-// a metered batch is one EWMA update whose value is the amortized cost the
-// capacity model cap(P) = d(P) − c(P) is defined over.
+// RecordBusyBatch adds d nanoseconds of processing time spanning n
+// elements. The cost estimator c(v) stays per-element: it receives one
+// observation of d/n, so a metered batch is one EWMA update whose value is
+// the amortized cost the capacity model cap(P) = d(P) − c(P) is defined
+// over.
 func (s *OpStats) RecordBusyBatch(d int64, n int) {
 	if n <= 0 {
 		return

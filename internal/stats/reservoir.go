@@ -39,7 +39,7 @@ func (r *Reservoir) Observe(v float64) {
 	r.mu.Unlock()
 }
 
-// Count returns how many values were observed in total.
+// Count returns how many values were observed since the last Reset.
 func (r *Reservoir) Count() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -50,19 +50,39 @@ func (r *Reservoir) Count() uint64 {
 // if empty.
 func (r *Reservoir) Quantile(q float64) float64 {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.vals) == 0 {
+	sorted := append([]float64(nil), r.vals...)
+	r.mu.Unlock()
+	sort.Float64s(sorted)
+	return QuantileSorted(sorted, q)
+}
+
+// Reset closes the current sampling window: it returns how many values
+// were observed since the last Reset and the window's sample sorted
+// ascending, and empties the reservoir for the next window. The PRNG
+// stream carries over, so consecutive windows draw from one seeded
+// sequence.
+func (r *Reservoir) Reset() (seen uint64, sorted []float64) {
+	r.mu.Lock()
+	seen = r.seen
+	sorted = append([]float64(nil), r.vals...)
+	r.vals = r.vals[:0]
+	r.seen = 0
+	r.mu.Unlock()
+	sort.Float64s(sorted)
+	return seen, sorted
+}
+
+// QuantileSorted reads the q-quantile from an ascending slice, or 0 if it
+// is empty.
+func QuantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(r.vals))
-	copy(sorted, r.vals)
-	sort.Float64s(sorted)
 	if q <= 0 {
 		return sorted[0]
 	}
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(q*float64(len(sorted)-1))]
 }

@@ -10,16 +10,19 @@ import (
 	"github.com/dsms/hmts/internal/stream"
 )
 
-// capture is a minimal op.Sink.
+// capture is a minimal op.Sink recording the elements and how they were
+// cut into batches.
 type capture struct {
-	mu   sync.Mutex
-	els  []stream.Element
-	done int
+	mu     sync.Mutex
+	els    []stream.Element
+	bursts []int
+	done   int
 }
 
-func (c *capture) Process(_ int, e stream.Element) {
+func (c *capture) ProcessBatch(_ int, es []stream.Element) {
 	c.mu.Lock()
-	c.els = append(c.els, e)
+	c.els = append(c.els, es...)
+	c.bursts = append(c.bursts, len(es))
 	c.mu.Unlock()
 }
 
@@ -216,26 +219,11 @@ func TestRampSourceEndToEnd(t *testing.T) {
 	}
 }
 
-// batchCapture is a capture that also accepts bursts, recording how they
-// were delivered.
-type batchCapture struct {
-	capture
-	bursts []int
-}
-
-func (c *batchCapture) ProcessBatch(_ int, es []stream.Element) {
-	c.mu.Lock()
-	c.els = append(c.els, es...)
-	c.bursts = append(c.bursts, len(es))
-	c.mu.Unlock()
-}
-
-// TestBatchedStampedSource: with SetBatch and a batch-capable sink, a
-// stamped source delivers identical elements and timestamps in bursts.
+// TestBatchedStampedSource: with SetBatch, a stamped source delivers identical elements and timestamps in bursts.
 func TestBatchedStampedSource(t *testing.T) {
 	src := New("s", 100, SeqKeys(), FixedRate{Hz: 1000}, nil)
 	src.SetBatch(32)
-	c := &batchCapture{}
+	c := &capture{}
 	src.Run(c, 0)
 	if len(c.els) != 100 || c.done != 1 {
 		t.Fatalf("emitted %d, done %d", len(c.els), c.done)
@@ -254,19 +242,18 @@ func TestBatchedStampedSource(t *testing.T) {
 	}
 }
 
-// TestBatchedSourceFallsBackToProcess: without a batch-capable sink the
-// batched source degrades to per-element delivery.
-func TestBatchedSourceFallsBackToProcess(t *testing.T) {
+// TestUnbatchedSourceDeliversSingletons: without SetBatch the batch size is
+// 1, so every element is handed over as its own one-element batch, in order.
+func TestUnbatchedSourceDeliversSingletons(t *testing.T) {
 	src := New("s", 50, SeqKeys(), FixedRate{Hz: 1000}, nil)
-	src.SetBatch(16)
 	c := &capture{}
 	src.Run(c, 0)
 	if len(c.els) != 50 || c.done != 1 {
 		t.Fatalf("emitted %d, done %d", len(c.els), c.done)
 	}
 	for i, e := range c.els {
-		if e.Key != int64(i) {
-			t.Fatalf("order violated at %d", i)
+		if e.Key != int64(i) || c.bursts[i] != 1 {
+			t.Fatalf("element %d: key %d in a batch of %d, want key %d alone", i, e.Key, c.bursts[i], i)
 		}
 	}
 }
@@ -278,7 +265,7 @@ func TestBatchedRealTimeSourceFlushesBeforeSleep(t *testing.T) {
 	clock := simtime.NewReal()
 	src := New("s", 20, SeqKeys(), FixedRate{Hz: 1000}, clock)
 	src.SetBatch(8)
-	c := &batchCapture{}
+	c := &capture{}
 	src.Run(c, 0)
 	if len(c.els) != 20 || c.done != 1 {
 		t.Fatalf("emitted %d, done %d", len(c.els), c.done)
@@ -302,7 +289,7 @@ func TestBatchedRealTimeSourceFlushesBeforeSleep(t *testing.T) {
 func TestBatchedSourceStopFlushes(t *testing.T) {
 	src := New("s", 1_000_000, SeqKeys(), FixedRate{}, nil)
 	src.SetBatch(64)
-	c := &batchCapture{}
+	c := &capture{}
 	go func() {
 		// Run flat out; stop as soon as something was emitted.
 		for src.Emitted() == 0 {

@@ -91,7 +91,7 @@ func (q *queryReg) regionNodeIDs() []int {
 // per-query metrics section and dedups end-of-stream, so DropQuery can
 // force a final Done on a sink whose stream was severed mid-flight.
 type queryTap struct {
-	inner   Sink
+	inner   op.Sink
 	out     atomic.Uint64
 	firstNS atomic.Int64
 	lastNS  atomic.Int64
@@ -105,26 +105,13 @@ func (t *queryTap) meter(n int) {
 	t.out.Add(uint64(n))
 }
 
-// Process implements Sink.
-func (t *queryTap) Process(port int, e Element) {
-	t.meter(1)
-	t.inner.Process(port, e)
-}
-
-// ProcessBatch implements op.BatchSink so batched delivery stays batched
-// through the tap when the user sink supports it.
+// ProcessBatch implements op.Sink.
 func (t *queryTap) ProcessBatch(port int, es []Element) {
 	t.meter(len(es))
-	if bs, ok := t.inner.(op.BatchSink); ok {
-		bs.ProcessBatch(port, es)
-		return
-	}
-	for _, e := range es {
-		t.inner.Process(port, e)
-	}
+	t.inner.ProcessBatch(port, es)
 }
 
-// Done implements Sink.
+// Done implements op.Sink.
 func (t *queryTap) Done(port int) {
 	if !t.done.Swap(true) {
 		t.inner.Done(port)
@@ -196,7 +183,7 @@ func (e *Engine) AddQuery(name string, sink Sink, build func() (*Stream, error))
 	if _, dup := e.queries[name]; dup {
 		return fmt.Errorf("hmts: query %q already registered", name)
 	}
-	reg := &queryReg{name: name, seq: e.nextQSeq, tap: &queryTap{inner: sink}, used: make(map[int]bool)}
+	reg := &queryReg{name: name, seq: e.nextQSeq, tap: &queryTap{inner: adaptSink(sink)}, used: make(map[int]bool)}
 
 	doBuild := func() error {
 		e.curQuery = reg

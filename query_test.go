@@ -110,7 +110,7 @@ func trialData(rng *rand.Rand, n int) []hmts.Element {
 // multi-query subsumption layer: N queries registered on one shared
 // engine (prefix-merged, refcounted, fanned out at divergence) must
 // produce byte-identical outputs to N independent single-query engines,
-// over randomized plans and seeds, with scalar and batched sources.
+// over randomized plans and seeds, with unbatched and batched sources.
 func TestSharedQueriesMatchIndependent(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		for _, batched := range []bool{false, true} {

@@ -65,8 +65,8 @@ func Custom(src op.Source, rateHintHz float64) SourceSpec {
 // synchronization on the source's decoupling queue. It only coalesces
 // elements that are due at the same instant — a paced source still emits
 // on schedule — so it pays off for flat-out, replayed, and bursty-phase
-// workloads. It is a no-op for Custom sources (batch in the source's own
-// Run via op.BatchSink instead).
+// workloads. It is a no-op for Custom sources, which choose their own
+// batch sizes in Run.
 func (sp SourceSpec) Batched(n int) SourceSpec {
 	if ws, ok := sp.src.(*workload.Source); ok {
 		ws.SetBatch(n)
